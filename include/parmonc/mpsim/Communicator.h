@@ -68,6 +68,10 @@ struct SendFault {
 using SendFaultHook = std::function<SendFault(int, int, int)>;
 
 /// One rank's incoming queue. Thread-safe multi-producer/single-consumer.
+/// An atomic copy of the queue length, written under the lock on every
+/// push and pop, lets a poll of an empty mailbox return after one acquire
+/// load without touching the mutex — the collector polls after every
+/// realization, and producers write only once per pass period.
 class Mailbox {
 public:
   /// Enqueues a message (called by any sender thread). Messages pushed
@@ -77,7 +81,8 @@ public:
 
   /// Removes and returns the oldest message whose tag matches \p Tag, or
   /// any message when \p Tag is negative. Non-blocking; empty optional if
-  /// nothing matches. Draining an already-closed mailbox is allowed.
+  /// nothing matches. Lock-free when the mailbox is empty. Draining an
+  /// already-closed mailbox is allowed.
   std::optional<Message> tryPop(int Tag = -1);
 
   /// Blocking variant with a deadline; empty optional on timeout. The
@@ -116,6 +121,7 @@ private:
   mutable std::mutex Mutex;
   std::condition_variable Available;
   std::deque<Message> Queue;
+  std::atomic<size_t> QueuedCount{0};
   bool Closed = false;
 };
 

@@ -8,10 +8,14 @@
 /// The metrics half of the observability layer: named counters, gauges and
 /// latency histograms collected while the engine runs. Registration (name
 /// lookup) takes a mutex and happens on the cold path — once, before the
-/// worker threads start; every hot-path update is a handful of relaxed
-/// atomic operations on a stable reference, so instrumentation stays cheap
-/// enough to leave on permanently (§2.2 argues the exchange expenses are
-/// negligible; this is how we *measure* that instead of asserting it).
+/// worker threads start; an update is a handful of relaxed atomic
+/// operations on a stable reference. Per-realization metrics do not even
+/// pay that: each engine worker records into a private, non-atomic
+/// LatencyTally and folds it into the shared instruments at every subtotal
+/// hand-off and at exit. Mid-run they therefore lag by at most one pass
+/// period; at exit they are exact. Instrumentation stays cheap enough to
+/// leave on permanently (§2.2 argues the exchange expenses are negligible;
+/// this is how we *measure* that instead of asserting it).
 ///
 /// A MetricsSnapshot is an immutable copy of every instrument, sorted by
 /// name, with byte-stable text serialization (results/metrics.dat) that
@@ -62,6 +66,8 @@ private:
   std::atomic<double> Value{0.0};
 };
 
+class LatencyTally;
+
 /// A histogram of durations in nanoseconds with power-of-two buckets:
 /// bucket 0 holds durations <= 0 ns (possible under a frozen test clock),
 /// bucket b >= 1 holds durations in [2^(b-1), 2^b - 1] ns. Recording is a
@@ -80,6 +86,11 @@ public:
                                            std::memory_order_relaxed))
       ;
   }
+
+  /// Adds everything \p Tally recorded, exactly as if each duration had
+  /// gone through recordNanos(): counts, sums and buckets add (integer
+  /// addition, so fold order never matters) and the max is the larger.
+  void fold(const LatencyTally &Tally);
 
   int64_t count() const { return Count.load(std::memory_order_relaxed); }
   int64_t sumNanos() const { return SumNanos.load(std::memory_order_relaxed); }
@@ -110,6 +121,35 @@ private:
   std::atomic<int64_t> SumNanos{0};
   std::atomic<int64_t> MaxNanos{0};
   std::array<std::atomic<int64_t>, BucketCount> Buckets{};
+};
+
+/// A single-owner, non-atomic LatencyHistogram: the same buckets, the same
+/// `Nanos > 0` sum rule and the same max, recorded with plain arithmetic.
+/// A hot loop records into its own tally and periodically folds it into a
+/// shared histogram with LatencyHistogram::fold(), so the shared cache
+/// lines are touched once per fold instead of once per event.
+class LatencyTally {
+public:
+  void recordNanos(int64_t Nanos) {
+    ++Count;
+    // Unsigned, so the sum wraps exactly like the histogram's atomic add.
+    SumNanos += uint64_t(Nanos > 0 ? Nanos : 0);
+    ++Buckets[LatencyHistogram::bucketIndexFor(Nanos)];
+    if (Nanos > MaxNanos)
+      MaxNanos = Nanos;
+  }
+
+  int64_t count() const { return Count; }
+
+  /// Forgets everything recorded (after a fold).
+  void reset() { *this = LatencyTally(); }
+
+private:
+  friend class LatencyHistogram;
+  int64_t Count = 0;
+  uint64_t SumNanos = 0;
+  int64_t MaxNanos = 0;
+  std::array<int64_t, LatencyHistogram::BucketCount> Buckets{};
 };
 
 /// Snapshot of one latency histogram: name, totals, and the non-empty

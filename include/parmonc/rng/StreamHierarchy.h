@@ -29,7 +29,6 @@
 #define PARMONC_RNG_STREAMHIERARCHY_H
 
 #include "parmonc/int128/UInt128.h"
-#include "parmonc/obs/Metrics.h"
 #include "parmonc/rng/Lcg128.h"
 #include "parmonc/rng/LeapWindow.h"
 #include "parmonc/support/Status.h"
@@ -148,18 +147,8 @@ public:
 
   const LeapTable &leapTable() const { return Table; }
 
-  /// Attaches the "rng.streams_issued" counter from \p Registry: every
-  /// makeStream()/beginRealization() afterwards increments it (cursors
-  /// created from this hierarchy inherit the counter). Cheap: one relaxed
-  /// atomic add per stream.
-  void attachMetrics(obs::MetricsRegistry &Registry);
-
-  /// The attached streams-issued counter, or null.
-  obs::Counter *streamsIssuedCounter() const { return StreamsIssued; }
-
 private:
   LeapTable Table;
-  obs::Counter *StreamsIssued = nullptr;
 };
 
 /// Iterates the realization subsequences of one processor. The cursor keeps
@@ -190,8 +179,7 @@ public:
                        : Table.powerOfBase(
                              UInt128(Stride)
                              << Table.config().RealizationLog2)),
-        NextRealization(Start.Realization), Stride(Stride),
-        StreamsIssued(Hierarchy.streamsIssuedCounter()) {
+        NextRealization(Start.Realization), Stride(Stride) {
     assert(Stride >= 1 && "cursor stride must be at least 1");
   }
 
@@ -207,19 +195,13 @@ public:
     Lcg128 Stream(Table.baseMultiplier(), StartState);
     StartState = StartState * StrideLeap;
     NextRealization += Stride;
-    if (StreamsIssued)
-      StreamsIssued->add();
     return Stream;
   }
 
-  /// Advances the cursor by one stride and counts the stream without
-  /// touching the LCG state — for backends (Philox) that position by the
-  /// cursor's *coordinates* rather than by its leap-multiplied state.
-  void noteRealizationIssued() {
-    NextRealization += Stride;
-    if (StreamsIssued)
-      StreamsIssued->add();
-  }
+  /// Advances the cursor by one stride without touching the LCG state —
+  /// for backends (Philox) that position by the cursor's *coordinates*
+  /// rather than by its leap-multiplied state.
+  void noteRealizationIssued() { NextRealization += Stride; }
 
   /// Skips \p Count *stride steps* (i.e. Count * stride() realization
   /// subsequences) without producing streams — used when resuming a
@@ -236,7 +218,6 @@ private:
   UInt128 StrideLeap;
   uint64_t NextRealization;
   uint64_t Stride = 1;
-  obs::Counter *StreamsIssued = nullptr;
 };
 
 } // namespace parmonc

@@ -253,7 +253,6 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
         "counter-based equivalent; remove the override or run the lcg128 "
         "backend");
   StreamHierarchy Hierarchy(Table);
-  Hierarchy.attachMetrics(Registry);
   Registry.latency("rng.leap_setup")
       .recordNanos(Time.nowNanos() - LeapSetupStart);
   if (Trace)
@@ -418,6 +417,7 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
   // Pre-register every hot-path metric on the cold path: workers then only
   // touch relaxed atomics through stable references.
   obs::Counter &RealizationsTotal = Registry.counter("runner.realizations");
+  obs::Counter &StreamsIssued = Registry.counter("rng.streams_issued");
   obs::Counter &SubtotalsSent = Registry.counter("runner.subtotals_sent");
   obs::Counter &SavePoints = Registry.counter("runner.save_points");
   obs::LatencyHistogram &RealizationLatency =
@@ -426,12 +426,32 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
       Registry.latency("runner.subtotal_merge");
   obs::LatencyHistogram &SavePointLatency =
       Registry.latency("runner.save_point");
+  obs::LatencyHistogram *SaveStallLatency =
+      Config.CheckpointShards ? &Registry.latency("ckpt.save_stall")
+                              : nullptr;
   obs::Counter &DeadWorkersCounter = Registry.counter("runner.dead_workers");
   std::vector<obs::Counter *> RankRealizations;
   RankRealizations.reserve(size_t(RankCount));
   for (int Rank = 0; Rank < RankCount; ++Rank)
     RankRealizations.push_back(&Registry.counter(
         "runner.rank" + std::to_string(Rank) + ".realizations"));
+
+  // Even relaxed atomics are too dear per realization once several threads
+  // share their cache lines, so each worker records its realizations into
+  // a private tally and folds it in at every subtotal hand-off and at every
+  // exit. Folding only adds integers, so the final metrics equal
+  // per-realization recording exactly; mid-run they lag by at most one
+  // pass period. Every realization draws exactly one stream.
+  auto foldTally = [&](int Rank, obs::LatencyTally &Tally) {
+    const int64_t Realizations = Tally.count();
+    if (Realizations == 0)
+      return;
+    RealizationsTotal.add(Realizations);
+    RankRealizations[size_t(Rank)]->add(Realizations);
+    StreamsIssued.add(Realizations);
+    RealizationLatency.fold(Tally);
+    Tally.reset();
+  };
 
   // --- Collector helpers (rank 0 only) -----------------------------------
 
@@ -528,8 +548,7 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
                  !Committed && CollectorFailure.isOk()) {
         CollectorFailure = Committed;
       }
-      Registry.latency("ckpt.save_stall")
-          .recordNanos(Time.nowNanos() - HandoffStart);
+      SaveStallLatency->recordNanos(Time.nowNanos() - HandoffStart);
     }
     for (size_t Index = 0; Index < Config.Histograms.size(); ++Index) {
       const HistogramSpec &Spec = Config.Histograms[Index];
@@ -620,12 +639,11 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
     }
   };
 
-  auto collectorPoll = [&](Communicator &Comm, bool ForceSave) {
+  // \p Now is the caller's latest clock read; the poll takes no other.
+  auto collectorPoll = [&](Communicator &Comm, int64_t Now) {
     while (std::optional<Message> Incoming = Comm.tryReceive())
       handleMessage(*Incoming);
-    const int64_t Now = Time.nowNanos();
-    if (ForceSave ||
-        Now - Collector.LastSaveNanos >= Config.AveragePeriodNanos)
+    if (Now - Collector.LastSaveNanos >= Config.AveragePeriodNanos)
       savePoint(Now);
   };
 
@@ -737,6 +755,7 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
         Hierarchy,
         StreamCoordinates{Config.SequenceNumber, uint64_t(Rank), 0});
     int64_t Completed = 0;
+    obs::LatencyTally Tally;
     const fault::WorkerCrashSpec *Crash =
         Injector ? Injector->workerCrash(Rank) : nullptr;
 
@@ -774,11 +793,8 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
         ComputeEnd = Time.nowNanos();
       }
       Local.ComputeSeconds += double(ComputeEnd - ComputeStart) * 1e-9;
-      // Reuses the ComputeStart/ComputeEnd reads the engine takes anyway,
-      // so per-realization metrics cost two relaxed atomic updates.
-      RealizationsTotal.add();
-      RankRealizations[size_t(Rank)]->add();
-      RealizationLatency.recordNanos(ComputeEnd - ComputeStart);
+      // Reuses the ComputeStart/ComputeEnd reads the engine takes anyway.
+      Tally.recordNanos(ComputeEnd - ComputeStart);
       if (Trace)
         Trace->completeSpan("runner.realization", Rank, ComputeStart,
                             ComputeEnd);
@@ -795,6 +811,7 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
       // the process (the paper's cluster), so manaver can still recover
       // every completed realization.
       if (Crash && Completed >= Crash->AfterRealizations) {
+        foldTally(Rank, Tally);
         if (Crash->PersistBeforeCrash)
           (void)Store.writeSnapshot(Store.subtotalPath(Rank), Local);
         Injector->noteWorkerCrashed(Rank);
@@ -815,12 +832,14 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
       }
       if (Config.PassPeriodNanos == 0 ||
           Now - LastPassNanos >= Config.PassPeriodNanos) {
+        foldTally(Rank, Tally);
         sendSubtotal(TagSubtotal);
         LastPassNanos = Now;
       }
       if (Rank == 0)
-        collectorPoll(Comm, /*ForceSave=*/false);
+        collectorPoll(Comm, Now);
     }
+    foldTally(Rank, Tally);
     } else {
     // --- Threaded fan-out: N worker threads inside this rank -------------
     // Each thread owns a private accumulator and a stride-N cursor (thread
@@ -851,6 +870,7 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
                                             ThreadsPerRank
                                       : 0);
       int64_t Done = 0;
+      obs::LatencyTally Tally;
       int64_t LastThreadPassNanos = Time.nowNanos();
 
       while (!Shared.StopRequested.load(std::memory_order_relaxed)) {
@@ -884,9 +904,7 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
           ComputeEnd = Time.nowNanos();
         }
         Mine.ComputeSeconds += double(ComputeEnd - ComputeStart) * 1e-9;
-        RealizationsTotal.add();
-        RankRealizations[size_t(Rank)]->add();
-        RealizationLatency.recordNanos(ComputeEnd - ComputeStart);
+        Tally.recordNanos(ComputeEnd - ComputeStart);
         if (Trace)
           Trace->completeSpan("runner.realization", Rank, ComputeStart,
                               ComputeEnd);
@@ -908,12 +926,14 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
         }
         if (Config.PassPeriodNanos == 0 ||
             Now - LastThreadPassNanos >= Config.PassPeriodNanos) {
+          foldTally(Rank, Tally);
           IntraRank.push(Message{Thread, TagSubtotal, Mine.toBytes()});
           LastThreadPassNanos = Now;
         }
       }
       // Always hand in the final partial — even a zero-quota thread, so
       // the rank loop's finals accounting stays exact.
+      foldTally(Rank, Tally);
       IntraRank.push(Message{Thread, TagFinal, Mine.toBytes()});
     };
 
@@ -969,7 +989,7 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
         }
       }
       if (Rank == 0)
-        collectorPoll(Comm, /*ForceSave=*/false);
+        collectorPoll(Comm, Now);
     }
     Workers.join();
     // Every thread's final partial, merged in thread order: the rank's

@@ -19,6 +19,7 @@ void Mailbox::push(Message Incoming) {
     if (Closed)
       return; // the backend is tearing down; nobody will pop this
     Queue.push_back(std::move(Incoming));
+    QueuedCount.store(Queue.size(), std::memory_order_release);
   }
   Available.notify_all();
 }
@@ -28,6 +29,7 @@ std::optional<Message> Mailbox::popMatchingLocked(int Tag) {
     if (Tag < 0 || Iterator->Tag == Tag) {
       Message Found = std::move(*Iterator);
       Queue.erase(Iterator);
+      QueuedCount.store(Queue.size(), std::memory_order_release);
       return Found;
     }
   }
@@ -42,6 +44,10 @@ bool Mailbox::containsLocked(int Tag) const {
 }
 
 std::optional<Message> Mailbox::tryPop(int Tag) {
+  // Empty fast path. A push racing with this load is simply seen by the
+  // next poll, exactly as if it had landed after a locked check.
+  if (QueuedCount.load(std::memory_order_acquire) == 0)
+    return std::nullopt;
   std::lock_guard<std::mutex> Lock(Mutex);
   return popMatchingLocked(Tag);
 }
@@ -90,8 +96,7 @@ bool Mailbox::isClosed() const {
 }
 
 size_t Mailbox::pendingCount() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Queue.size();
+  return QueuedCount.load(std::memory_order_acquire);
 }
 
 bool Mailbox::contains(int Tag) const {

@@ -371,7 +371,7 @@ private:
 struct RouterState {
   explicit RouterState(int RankCount)
       : RankCount(RankCount), ChildFd(size_t(RankCount), -1),
-        FdOpen(size_t(RankCount), false), Dead(size_t(RankCount), false),
+        FdOpen(size_t(RankCount), 0), Dead(size_t(RankCount), false),
         GoodbyeSeen(size_t(RankCount), false),
         WriteMutexes(size_t(RankCount)) {
     for (auto &MutexPtr : WriteMutexes)
@@ -383,7 +383,9 @@ struct RouterState {
 
   const int RankCount;
   std::vector<int> ChildFd;
-  std::vector<bool> FdOpen; // guarded by the matching write mutex
+  // Guarded by the matching write mutex. Bytes, not std::vector<bool>:
+  // packed bits would share a word across ranks whose mutexes differ.
+  std::vector<uint8_t> FdOpen;
   Mailbox RootInbox;
 
   std::mutex Mutex; // barrier + liveness
@@ -424,7 +426,7 @@ struct RouterState {
     std::lock_guard<std::mutex> Lock(*WriteMutexes[size_t(Rank)]);
     if (!FdOpen[size_t(Rank)])
       return;
-    FdOpen[size_t(Rank)] = false;
+    FdOpen[size_t(Rank)] = 0;
     ::close(ChildFd[size_t(Rank)]);
     ChildFd[size_t(Rank)] = -1;
   }
@@ -862,7 +864,7 @@ runProcessEngine(int RankCount,
   for (int Rank = 1; Rank < RankCount; ++Rank) {
     ::close(Pairs[size_t(Rank)][1]); // child ends belong to the children
     State.ChildFd[size_t(Rank)] = Pairs[size_t(Rank)][0];
-    State.FdOpen[size_t(Rank)] = true;
+    State.FdOpen[size_t(Rank)] = 1;
   }
 
   std::thread Router;

@@ -27,6 +27,22 @@ int64_t LatencySummary::quantileUpperNanos(double Quantile) const {
   return LatencyHistogram::bucketUpperNanos(Buckets.back().first);
 }
 
+void LatencyHistogram::fold(const LatencyTally &Tally) {
+  if (Tally.Count == 0)
+    return;
+  Count.fetch_add(Tally.Count, std::memory_order_relaxed);
+  SumNanos.fetch_add(int64_t(Tally.SumNanos), std::memory_order_relaxed);
+  for (size_t Index = 0; Index < BucketCount; ++Index)
+    if (Tally.Buckets[Index] != 0)
+      Buckets[Index].fetch_add(Tally.Buckets[Index],
+                               std::memory_order_relaxed);
+  int64_t SeenMax = MaxNanos.load(std::memory_order_relaxed);
+  while (Tally.MaxNanos > SeenMax &&
+         !MaxNanos.compare_exchange_weak(SeenMax, Tally.MaxNanos,
+                                         std::memory_order_relaxed))
+    ;
+}
+
 Counter &MetricsRegistry::counter(std::string_view Name) {
   std::lock_guard<std::mutex> Lock(Mutex);
   auto Found = Counters.find(Name);

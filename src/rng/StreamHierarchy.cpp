@@ -186,13 +186,7 @@ UInt128 StreamHierarchy::initialNumber(const StreamCoordinates &Where) const {
 }
 
 Lcg128 StreamHierarchy::makeStream(const StreamCoordinates &Where) const {
-  if (StreamsIssued)
-    StreamsIssued->add();
   return Lcg128(Table.baseMultiplier(), initialNumber(Where));
-}
-
-void StreamHierarchy::attachMetrics(obs::MetricsRegistry &Registry) {
-  StreamsIssued = &Registry.counter("rng.streams_issued");
 }
 
 } // namespace parmonc

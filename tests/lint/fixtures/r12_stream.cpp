@@ -12,7 +12,7 @@ void consumeHierarchy(StreamHierarchy Taken);
 void fixtureUseAfterHandoff(LeapTable &Table) {
   StreamHierarchy Owner(Table);
   consumeHierarchy(std::move(Owner));
-  Owner.attachMetrics(); // expect: R12
+  Owner.leapTable(); // expect: R12
 }
 
 // Positive: the merge joins {moved, live} to moved — the use below is
@@ -21,27 +21,27 @@ void fixtureBranchMove(LeapTable &Table, bool Flag) {
   StreamHierarchy Owner(Table);
   if (Flag)
     consumeHierarchy(std::move(Owner));
-  Owner.attachMetrics(); // expect: R12
+  Owner.leapTable(); // expect: R12
 }
 
 // Positive: copy-initialization duplicates the live stream partition.
 void fixtureCopyDuplicates(LeapTable &Table) {
   StreamHierarchy Owner(Table);
   StreamHierarchy Alias = Owner; // expect: R12
-  Alias.attachMetrics();
+  Alias.leapTable();
 }
 
 // Positive: the by-reference capture lets the handle escape its scope.
 void fixtureLambdaEscape(LeapTable &Table) {
   StreamHierarchy Owner(Table);
-  auto Grab = [&]() { Owner.attachMetrics(); }; // expect: R12
+  auto Grab = [&]() { Owner.leapTable(); }; // expect: R12
   Grab();
 }
 
 // Negative: use-then-move is the sanctioned hand-off order.
 void fixtureHandoffOk(LeapTable &Table) {
   StreamHierarchy Owner(Table);
-  Owner.attachMetrics();
+  Owner.leapTable();
   consumeHierarchy(std::move(Owner));
 }
 

@@ -144,6 +144,77 @@ TEST(Mailbox, PopWaitOnManualClockStillDeliversMatches) {
   EXPECT_EQ(Received->Payload[0], 11);
 }
 
+TEST(Mailbox, PendingCountTracksEveryPushAndPop) {
+  Mailbox Box;
+  EXPECT_EQ(Box.pendingCount(), 0u);
+  EXPECT_FALSE(Box.tryPop().has_value());
+  Box.push({0, 1, bytesOf({1})});
+  EXPECT_EQ(Box.pendingCount(), 1u);
+  Box.push({0, 2, bytesOf({2})});
+  EXPECT_EQ(Box.pendingCount(), 2u);
+  EXPECT_FALSE(Box.tryPop(3).has_value()); // no match: nothing removed
+  EXPECT_EQ(Box.pendingCount(), 2u);
+  ASSERT_TRUE(Box.tryPop(2));
+  EXPECT_EQ(Box.pendingCount(), 1u);
+  ASSERT_TRUE(Box.popWait(-1, 1'000'000));
+  EXPECT_EQ(Box.pendingCount(), 0u);
+  EXPECT_FALSE(Box.tryPop().has_value());
+}
+
+TEST(Mailbox, QueuedMessagesDrainThroughTryPopAfterClose) {
+  Mailbox Box;
+  Box.push({0, 1, bytesOf({1})});
+  Box.push({0, 1, bytesOf({2})});
+  Box.close();
+  Box.push({0, 1, bytesOf({3})}); // dropped: the mailbox is closed
+  EXPECT_EQ(Box.pendingCount(), 2u);
+  auto First = Box.tryPop();
+  auto Second = Box.tryPop();
+  ASSERT_TRUE(First && Second);
+  EXPECT_EQ(First->Payload[0], 1);
+  EXPECT_EQ(Second->Payload[0], 2);
+  EXPECT_EQ(Box.pendingCount(), 0u);
+  EXPECT_FALSE(Box.tryPop().has_value());
+}
+
+TEST(Mailbox, SpinningConsumerSeesEveryMessageOnceInProducerOrder) {
+  // The consumer polls with tryPop, which returns from an empty mailbox
+  // without locking; racing producers must still never lose, duplicate or
+  // reorder a message.
+  constexpr int Producers = 4;
+  constexpr int PerProducer = 2000;
+  Mailbox Box;
+  std::vector<std::thread> Threads;
+  for (int Producer = 0; Producer < Producers; ++Producer)
+    Threads.emplace_back([&Box, Producer] {
+      for (int Sequence = 0; Sequence < PerProducer; ++Sequence)
+        Box.push({Producer, 0,
+                  bytesOf({uint8_t(Sequence & 0xff),
+                           uint8_t((Sequence >> 8) & 0xff)})});
+    });
+  std::vector<int> NextExpected(Producers, 0);
+  int Received = 0;
+  bool InOrder = true;
+  while (InOrder && Received < Producers * PerProducer) {
+    std::optional<Message> Incoming = Box.tryPop();
+    if (!Incoming)
+      continue;
+    const int Sequence = Incoming->Payload[0] | (Incoming->Payload[1] << 8);
+    InOrder = Incoming->Source >= 0 && Incoming->Source < Producers &&
+              Sequence == NextExpected[size_t(Incoming->Source)];
+    EXPECT_TRUE(InOrder) << "message " << Sequence << " from producer "
+                         << Incoming->Source << " out of order";
+    if (InOrder)
+      ++NextExpected[size_t(Incoming->Source)];
+    ++Received;
+  }
+  for (std::thread &Thread : Threads)
+    Thread.join();
+  EXPECT_EQ(NextExpected, std::vector<int>(Producers, PerProducer));
+  EXPECT_EQ(Box.pendingCount(), 0u);
+  EXPECT_FALSE(Box.tryPop().has_value());
+}
+
 TEST(Fabric, TracksBytesTransferred) {
   Fabric Net(2);
   FabricCommunicator Sender(Net, 1);

@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "parmonc/core/Runner.h"
+#include "parmonc/fault/FaultPlan.h"
 #include "parmonc/support/Text.h"
 
 #include <gtest/gtest.h>
@@ -140,6 +141,110 @@ TEST(DeterministicRunTrace, MetricsAccountForEveryRealization) {
   ASSERT_NE(Latency, nullptr);
   EXPECT_EQ(Latency->Count, Run.Report.TotalSampleVolume);
   EXPECT_EQ(Run.Report.Metrics.toFileContents(), Run.MetricsFile);
+}
+
+/// The realization metrics of a finished run, read back from metrics.dat.
+struct RealizationCounts {
+  int64_t Total = 0;
+  int64_t Streams = 0;
+  int64_t LatencyCount = 0;
+  std::vector<int64_t> PerRank;
+
+  int64_t perRankSum() const {
+    int64_t Sum = 0;
+    for (int64_t Count : PerRank)
+      Sum += Count;
+    return Sum;
+  }
+};
+
+RealizationCounts readRealizationCounts(const std::string &WorkDir,
+                                        int RankCount) {
+  RealizationCounts Counts;
+  Result<std::string> File =
+      readFileToString(ResultsStore(WorkDir).metricsPath());
+  EXPECT_TRUE(File.isOk()) << File.status().toString();
+  Result<obs::MetricsSnapshot> Snapshot =
+      obs::MetricsSnapshot::fromFileContents(File.valueOr(""));
+  EXPECT_TRUE(Snapshot.isOk()) << Snapshot.status().toString();
+  if (!Snapshot)
+    return Counts;
+  const obs::MetricsSnapshot &Metrics = Snapshot.value();
+  auto counter = [&Metrics](const std::string &Name) -> int64_t {
+    const int64_t *Value = Metrics.counterValue(Name);
+    EXPECT_NE(Value, nullptr) << Name << " is not in metrics.dat";
+    return Value ? *Value : -1;
+  };
+  Counts.Total = counter("runner.realizations");
+  Counts.Streams = counter("rng.streams_issued");
+  for (int Rank = 0; Rank < RankCount; ++Rank)
+    Counts.PerRank.push_back(
+        counter("runner.rank" + std::to_string(Rank) + ".realizations"));
+  const obs::LatencySummary *Latency =
+      Metrics.latencySummary("runner.realization");
+  EXPECT_NE(Latency, nullptr);
+  Counts.LatencyCount = Latency ? Latency->Count : -1;
+  return Counts;
+}
+
+/// A fine-grained wall-clock run: several passes per rank, so worker
+/// tallies fold mid-run as well as at exit.
+RunConfig threadedConfig(const std::string &WorkDir, int Ranks,
+                         int ThreadsPerRank) {
+  RunConfig Config;
+  Config.Rows = 1;
+  Config.Columns = 1;
+  Config.MaxSampleVolume = 40'000;
+  Config.ProcessorCount = Ranks;
+  Config.WorkerThreadsPerRank = ThreadsPerRank;
+  Config.PassPeriodNanos = 2'000'000;
+  Config.AveragePeriodNanos = 20'000'000;
+  Config.WorkDir = WorkDir;
+  return Config;
+}
+
+TEST(DeterministicRunTrace, MetricsAccountForEveryRealizationAcrossThreads) {
+  // Thread ranks and intra-rank worker threads each fold private tallies;
+  // the folded totals must all equal the delivered volume.
+  for (const auto &[Ranks, ThreadsPerRank] :
+       {std::pair<int, int>{4, 1}, std::pair<int, int>{1, 4}}) {
+    SCOPED_TRACE(std::to_string(Ranks) + " ranks x " +
+                 std::to_string(ThreadsPerRank) + " threads");
+    ScratchDir Dir("metrics_threads");
+    const RunConfig Config = threadedConfig(Dir.path(), Ranks, ThreadsPerRank);
+    Result<RunReport> Outcome = runSimulation(uniformRealization, Config);
+    ASSERT_TRUE(Outcome.isOk()) << Outcome.status().toString();
+    ASSERT_EQ(Outcome.value().TotalSampleVolume, Config.MaxSampleVolume);
+    const RealizationCounts Counts = readRealizationCounts(Dir.path(), Ranks);
+    EXPECT_EQ(Counts.Total, Config.MaxSampleVolume);
+    EXPECT_EQ(Counts.perRankSum(), Config.MaxSampleVolume);
+    EXPECT_EQ(Counts.Streams, Config.MaxSampleVolume);
+    EXPECT_EQ(Counts.LatencyCount, Config.MaxSampleVolume);
+  }
+}
+
+TEST(DeterministicRunTrace, CrashedRankCountsItsRealizationsBeforeDying) {
+  // Rank 2 dies after 100 realizations without a final send. Its tally
+  // must fold before it returns: the crashed rank's counter equals exactly
+  // the realizations it completed, the survivors' their full quotas.
+  ScratchDir Dir("metrics_crash");
+  RunConfig Config = threadedConfig(Dir.path(), 4, 1);
+  Config.DeterministicSchedule = true; // 10 000 per rank
+  Config.WorkerDeadlineNanos = 50'000'000;
+  fault::FaultPlan Plan;
+  Plan.WorkerCrashes.push_back(
+      {/*Rank=*/2, /*AfterRealizations=*/100, /*PersistBeforeCrash=*/true});
+  Config.Faults = &Plan;
+  Result<RunReport> Outcome = runSimulation(uniformRealization, Config);
+  ASSERT_TRUE(Outcome.isOk()) << Outcome.status().toString();
+  ASSERT_TRUE(Outcome.value().Degraded);
+
+  const RealizationCounts Counts = readRealizationCounts(Dir.path(), 4);
+  const int64_t Quota = Config.MaxSampleVolume / 4;
+  EXPECT_EQ(Counts.PerRank, (std::vector<int64_t>{Quota, Quota, 100, Quota}));
+  EXPECT_EQ(Counts.Total, 3 * Quota + 100);
+  EXPECT_EQ(Counts.Streams, Counts.Total);
+  EXPECT_EQ(Counts.LatencyCount, Counts.Total);
 }
 
 TEST(DeterministicRunTrace, ObservabilityDoesNotPerturbResults) {

@@ -85,6 +85,79 @@ TEST(LatencyHistogram, RecordsTotalsAndMax) {
   EXPECT_EQ(Latency.bucketValue(LatencyHistogram::bucketIndexFor(7)), 1);
 }
 
+/// The summary a registry holding one histogram named "x" reports.
+LatencySummary summaryOf(const MetricsRegistry &Registry) {
+  MetricsSnapshot Snapshot = Registry.snapshot();
+  EXPECT_EQ(Snapshot.Latencies.size(), 1u);
+  return Snapshot.Latencies.empty() ? LatencySummary{}
+                                    : Snapshot.Latencies.front();
+}
+
+void expectSameSummary(const LatencySummary &Expected,
+                       const LatencySummary &Actual) {
+  EXPECT_EQ(Actual.Count, Expected.Count);
+  EXPECT_EQ(Actual.SumNanos, Expected.SumNanos);
+  EXPECT_EQ(Actual.MaxNanos, Expected.MaxNanos);
+  EXPECT_EQ(Actual.Buckets, Expected.Buckets);
+}
+
+TEST(LatencyTally, FoldEqualsDirectRecording) {
+  // Negative and zero durations land in bucket 0 and add nothing to the
+  // sum; INT64_MAX lands in bucket 63 and wraps the sum, in both paths.
+  const int64_t Durations[] = {-5, 0, 1, 1500, int64_t(1) << 40, INT64_MAX};
+  MetricsRegistry Direct, Folded;
+  LatencyTally Tally;
+  for (int64_t Nanos : Durations) {
+    Direct.latency("x").recordNanos(Nanos);
+    Tally.recordNanos(Nanos);
+  }
+  EXPECT_EQ(Tally.count(), 6);
+  Folded.latency("x").fold(Tally);
+
+  const LatencySummary Expected = summaryOf(Direct);
+  ASSERT_FALSE(Expected.Buckets.empty());
+  EXPECT_EQ(Expected.Buckets.back(), (std::pair<unsigned, int64_t>{63, 1}));
+  expectSameSummary(Expected, summaryOf(Folded));
+  EXPECT_EQ(Folded.snapshot().toFileContents(),
+            Direct.snapshot().toFileContents());
+}
+
+TEST(LatencyTally, FoldingAnEmptyTallyChangesNothing) {
+  MetricsRegistry Registry;
+  LatencyHistogram &Latency = Registry.latency("x");
+  Latency.recordNanos(-3);
+  Latency.recordNanos(700);
+  const LatencySummary Before = summaryOf(Registry);
+  LatencyTally Empty;
+  Latency.fold(Empty);
+  expectSameSummary(Before, summaryOf(Registry));
+
+  // A reset tally is empty again.
+  LatencyTally Used;
+  Used.recordNanos(9);
+  Used.reset();
+  EXPECT_EQ(Used.count(), 0);
+  Latency.fold(Used);
+  expectSameSummary(Before, summaryOf(Registry));
+}
+
+TEST(LatencyTally, FoldKeepsTheLargerMax) {
+  LatencyHistogram Latency;
+  Latency.recordNanos(5000);
+  LatencyTally Tally;
+  Tally.recordNanos(20);
+  Tally.recordNanos(-1);
+  Latency.fold(Tally);
+  EXPECT_EQ(Latency.maxNanos(), 5000);
+  EXPECT_EQ(Latency.count(), 3);
+  EXPECT_EQ(Latency.sumNanos(), 5020);
+
+  LatencyTally Larger;
+  Larger.recordNanos(9000);
+  Latency.fold(Larger);
+  EXPECT_EQ(Latency.maxNanos(), 9000);
+}
+
 TEST(MetricsRegistry, SameNameReturnsSameInstrument) {
   MetricsRegistry Registry;
   Counter &First = Registry.counter("events");
