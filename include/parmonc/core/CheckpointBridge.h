@@ -5,14 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Glues the opaque-payload ckpt store to core's MomentSnapshot world. The
-/// store neither parses nor merges moments (it lives below core in the
-/// layering DAG); this bridge restores a committed generation and rebuilds
-/// the merged collector snapshot from it — base first, then every rank
-/// shard in ascending rank order, through MomentSnapshot::mergeFrom. That
-/// is the collector's own save-time arithmetic replayed in the same order,
-/// which makes a sharded restore bit-identical to loading the legacy
-/// single-file checkpoint.dat the same run would have written.
+/// Owns the resume decision (§3.2, res=1) and glues the opaque-payload
+/// ckpt store to core's MomentSnapshot world. The store neither parses nor
+/// merges moments (it lives below core in the layering DAG); this bridge
+/// rebuilds the merged collector snapshot from a committed generation —
+/// base first, then every rank shard in ascending rank order, through
+/// MomentSnapshot::mergeFrom. That is the collector's own save-time
+/// arithmetic replayed in the same order, which makes a sharded restore
+/// bit-identical to loading the legacy single-file checkpoint.dat the same
+/// run would have written.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,27 +24,33 @@
 #include "parmonc/core/ResultsStore.h"
 #include "parmonc/support/Status.h"
 
-#include <cstdint>
-
 namespace parmonc {
 
-/// A merged snapshot recovered from a sharded checkpoint generation.
-struct RecoveredCheckpoint {
-  /// Base plus every rank shard, merged in ascending rank order.
-  MomentSnapshot Merged;
-  /// True when manifest.dat was rejected (CRC, short read, missing shard,
-  /// torn write, unparsable payload) and the .prev generation was used.
-  bool FromBackupManifest = false;
-  /// The generation number of the manifest that was actually restored.
-  int64_t Generation = 0;
+/// The state a resumed run starts from.
+struct ResumeBase {
+  /// Everything earlier runs accumulated, under the resuming run's
+  /// sequence number.
+  MomentSnapshot Base;
+  /// A backup generation was used: manifest.prev, checkpoint.dat.prev, or
+  /// checkpoint.dat after every manifest generation was rejected.
+  bool ResumedFromBackup = false;
+  /// The sharded manifest won the arbitration.
+  bool RestoredFromShards = false;
 };
 
-/// Restores the newest loadable generation from \p Store and rebuilds the
-/// merged snapshot. Walks the full recovery ladder: a generation whose
-/// manifest, shard bytes or shard *payloads* fail validation is rejected
-/// and the previous generation is tried before giving up.
-[[nodiscard]] Result<RecoveredCheckpoint>
-restoreShardedCheckpoint(const ckpt::CheckpointStore &Store);
+/// The resume ladder. A sharded manifest and a legacy checkpoint.dat can
+/// coexist — manaver rebuilds checkpoint.dat from the subtotal files after
+/// a crash that left mid-run manifests behind — and snapshots are
+/// cumulative, so whichever loadable state carries the larger sample
+/// volume is the fresher one and wins. Each side falls back to its own
+/// previous generation first; a manifest generation is rejected when its
+/// manifest, shard bytes or shard *payloads* fail validation. The winner
+/// is merged into \p Fresh, the resuming run's empty snapshot, and must
+/// match its shape and histogram geometry under a different sequence
+/// number.
+[[nodiscard]] Result<ResumeBase>
+restoreResumeBase(const ResultsStore &Store, const ckpt::CheckpointStore &Ckpt,
+                  MomentSnapshot Fresh);
 
 } // namespace parmonc
 

@@ -183,19 +183,18 @@ struct RunConfig {
   /// byte-exact fault-recovery tests require.
   bool DeterministicSchedule = false;
 
-  /// Worker threads per simulated processor (>= 1). With N > 1 each rank
-  /// fans its realizations out over N threads: thread t of a rank runs the
-  /// rank's realization subsequences t, t + N, t + 2N, ... on a stride-N
-  /// RealizationCursor (one precomputed leap A(n_r)^N per realization)
-  /// with a private moment accumulator, and the rank merges the thread
-  /// partials in thread order before anything enters the §2.2 collector
-  /// protocol. The set of consumed substreams is exactly the serial (N=1)
-  /// assignment, so moment sums match the serial run whenever the
-  /// accumulated sums are exact (and are run-to-run deterministic under
+  /// Worker threads per simulated processor (>= 1). The rank's one
+  /// realization loop runs on N threads: thread t runs the rank's
+  /// realization subsequences t, t + N, t + 2N, ... on a stride-N
+  /// RealizationCursor with a private accumulator, and the rank merges the
+  /// thread partials in thread order before anything enters the §2.2
+  /// collector protocol. The consumed substreams are exactly the N = 1
+  /// assignment, so moment sums match it whenever the accumulated sums
+  /// are exact (and are run-to-run deterministic under
   /// DeterministicSchedule regardless). Default 1 = the paper's
-  /// one-thread-per-processor engine, byte-identical to before this knob
-  /// existed. Incompatible with injected worker crashes, which model
-  /// whole-rank death.
+  /// one-thread-per-processor engine, with no intra-rank mailbox.
+  /// Incompatible with injected worker crashes, which model whole-rank
+  /// death.
   int WorkerThreadsPerRank = 1;
 
   /// Attempts per subtotal send before the worker gives up on the message
@@ -219,10 +218,8 @@ struct RunConfig {
   /// to the previous manifest generation on any validation failure.
   /// Default off: the legacy checkpoint.dat path, byte-identical to
   /// before this knob existed. Either kind of checkpoint can be resumed
-  /// regardless of the flag's value in the resuming run; when both a
-  /// manifest and a checkpoint.dat exist (e.g. after a manaver rebuild),
-  /// the loadable state with the larger sample volume is restored —
-  /// snapshots are cumulative, so larger means fresher.
+  /// regardless of the flag's value in the resuming run
+  /// (restoreResumeBase in core/CheckpointBridge.h picks the fresher).
   bool CheckpointShards = false;
 
   /// Hands manifest commits to a background writer thread on rank 0 so

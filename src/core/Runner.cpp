@@ -35,6 +35,7 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 namespace parmonc {
@@ -67,8 +68,8 @@ void mergeSnapshotInto(MomentSnapshot &Into, const MomentSnapshot &From) {
 
 /// Collector-side bookkeeping (rank 0 only).
 struct CollectorState {
+  /// A rank that has not reported yet holds an empty snapshot.
   std::vector<MomentSnapshot> LatestFromRank;
-  std::vector<bool> HaveSnapshot;
   std::vector<bool> FinalReceived;
   std::vector<int> DeadWorkers;
   int FinalsOutstanding = 0;
@@ -76,113 +77,40 @@ struct CollectorState {
   int64_t LastSaveNanos = 0;
 
   // Sharded checkpointing: the latest shard file each rank reported, keyed
-  // by the rank's own monotone write index so duplicated or reordered
-  // reports (injected faults) can never roll a reference backwards.
+  // by the rank's own monotone write index (from 1; 0 = none yet) so
+  // duplicated or reordered reports (injected faults) can never roll a
+  // reference backwards.
   std::vector<ckpt::ShardEntry> ShardRef;
-  std::vector<bool> HaveShardRef;
   std::vector<int64_t> ShardIndexSeen;
+
+  CollectorState(int RankCount, int64_t StartNanos,
+                 const MomentSnapshot &Empty)
+      : LatestFromRank(size_t(RankCount), Empty),
+        FinalReceived(size_t(RankCount), false), FinalsOutstanding(RankCount),
+        LastSaveNanos(StartNanos), ShardRef(size_t(RankCount)),
+        ShardIndexSeen(size_t(RankCount), 0) {}
 
   /// Merges base + every received rank snapshot (eq. 5).
   MomentSnapshot mergeAll(const MomentSnapshot &Base) const {
     MomentSnapshot Merged = Base;
-    for (size_t Rank = 0; Rank < LatestFromRank.size(); ++Rank)
-      if (HaveSnapshot[Rank])
-        mergeSnapshotInto(Merged, LatestFromRank[Rank]);
+    for (const MomentSnapshot &Latest : LatestFromRank)
+      mergeSnapshotInto(Merged, Latest);
     return Merged;
   }
 };
 
 } // namespace
 
-Status RunConfig::validate() const {
-  if (Rows < 1 || Columns < 1)
-    return invalidArgument("realization matrix must be at least 1x1");
-  if (MaxSampleVolume < 1)
-    return invalidArgument("maximal sample volume must be >= 1");
-  if (ProcessorCount < 1)
-    return invalidArgument("processor count must be >= 1");
-  if (Status LeapsOk = Leaps.validate(); !LeapsOk)
-    return LeapsOk;
-  const unsigned MaxProcessorsLog2 = Leaps.maxProcessorsLog2();
-  if (MaxProcessorsLog2 < 63 &&
-      uint64_t(ProcessorCount) > (uint64_t(1) << MaxProcessorsLog2))
-    return invalidArgument(
-        "processor count exceeds the hierarchy capacity 2^" +
-        std::to_string(MaxProcessorsLog2));
-  const unsigned MaxExperimentsLog2 = Leaps.maxExperimentsLog2();
-  if (MaxExperimentsLog2 < 63 &&
-      SequenceNumber >= (uint64_t(1) << MaxExperimentsLog2))
-    return invalidArgument(
-        "experiment number exceeds the hierarchy capacity 2^" +
-        std::to_string(MaxExperimentsLog2));
-  if (PassPeriodNanos < 0 || AveragePeriodNanos < 0 || TimeLimitNanos < 0)
-    return invalidArgument("periods must be non-negative");
-  if (ErrorMultiplier <= 0.0)
-    return invalidArgument("error multiplier must be positive");
-  if (TargetMaxAbsoluteError < 0.0 || TargetMaxRelativeErrorPercent < 0.0)
-    return invalidArgument("error targets must be non-negative");
-  if (WorkDir.empty())
-    return invalidArgument("work directory must not be empty");
-  for (const HistogramSpec &Spec : Histograms) {
-    if (Spec.Row >= Rows || Spec.Column >= Columns)
-      return invalidArgument("histogram observable outside the matrix");
-    if (Spec.Low >= Spec.High)
-      return invalidArgument("histogram range is empty");
-    if (Spec.BinCount < 1)
-      return invalidArgument("histogram needs at least one bin");
-  }
-  if (SendMaxAttempts < 1)
-    return invalidArgument("send attempts must be >= 1");
-  if (SendRetryBackoffNanos < 0 || WorkerDeadlineNanos < 0)
-    return invalidArgument("retry backoff and worker deadline must be "
-                           "non-negative");
-  if (CheckpointAsync && !CheckpointShards)
-    return invalidArgument(
-        "asynchronous checkpointing requires CheckpointShards");
-  if (CheckpointQueueDepth < 1)
-    return invalidArgument("checkpoint queue depth must be >= 1");
-  if (CheckpointKeepShards < 1)
-    return invalidArgument("checkpoint shard retention must be >= 1");
-  if (WorkerThreadsPerRank < 1)
-    return invalidArgument("worker threads per rank must be >= 1");
-  if (WorkerThreadsPerRank > 1) {
-    const unsigned MaxRealizationsLog2 = Leaps.maxRealizationsLog2();
-    if (MaxRealizationsLog2 < 63 &&
-        uint64_t(WorkerThreadsPerRank) > (uint64_t(1) << MaxRealizationsLog2))
-      return invalidArgument(
-          "worker thread count exceeds the per-processor realization "
-          "capacity 2^" +
-          std::to_string(MaxRealizationsLog2));
-    if (Faults && !Faults->WorkerCrashes.empty())
-      return invalidArgument(
-          "injected worker crashes model whole-rank death and require "
-          "WorkerThreadsPerRank == 1");
-  }
-  if (Transport == TransportKind::Processes && !DeterministicSchedule)
-    return invalidArgument(
-        "the process transport has no cross-process work counter; "
-        "DeterministicSchedule must be on so every rank owns a fixed "
-        "quota");
-  if (Faults && Transport != TransportKind::Processes)
-    for (const fault::WorkerCrashSpec &Crash : Faults->WorkerCrashes)
-      if (Crash.RaiseKillSignal)
-        return invalidArgument(
-            "RaiseKillSignal kills a worker with SIGKILL and requires "
-            "Transport == TransportKind::Processes");
-  if (Faults)
-    if (Status PlanOk = Faults->validate(); !PlanOk)
-      return PlanOk;
-  return Status::ok();
-}
-
-/// Fresh (empty) histograms matching the configured specs.
-static std::vector<HistogramEstimator>
-makeHistograms(const RunConfig &Config) {
-  std::vector<HistogramEstimator> Histograms;
-  Histograms.reserve(Config.Histograms.size());
+/// An empty snapshot shaped for \p Config — matrix and histograms —
+/// where every accumulator starts.
+static MomentSnapshot emptySnapshot(const RunConfig &Config) {
+  MomentSnapshot Empty;
+  Empty.SequenceNumber = Config.SequenceNumber;
+  Empty.Moments = EstimatorMatrix(Config.Rows, Config.Columns);
+  Empty.Histograms.reserve(Config.Histograms.size());
   for (const HistogramSpec &Spec : Config.Histograms)
-    Histograms.emplace_back(Spec.Low, Spec.High, Spec.BinCount);
-  return Histograms;
+    Empty.Histograms.emplace_back(Spec.Low, Spec.High, Spec.BinCount);
+  return Empty;
 }
 
 Result<RunReport> runSimulation(const RealizationFn &Realization,
@@ -261,107 +189,17 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
 
   // Resumption (§3.2): res=1 loads the previous checkpoint as the base;
   // res=0 starts from clean files.
-  MomentSnapshot Base;
-  Base.Moments = EstimatorMatrix(Config.Rows, Config.Columns);
-  Base.Histograms = makeHistograms(Config);
-  Base.SequenceNumber = Config.SequenceNumber;
-  bool ResumedFromBackup = false;
-  bool RestoredFromShards = false;
+  ResumeBase Start{emptySnapshot(Config)};
   if (Config.Resume) {
-    // The full recovery ladder. A sharded manifest and a legacy
-    // checkpoint.dat can coexist — manaver rebuilds checkpoint.dat from
-    // the subtotal files after a crash that left mid-run manifests behind
-    // — and snapshots are cumulative, so whichever loadable state carries
-    // the larger sample volume is the fresher one and wins. Each side
-    // falls back to its own .prev generation before the comparison.
-    const bool HaveManifest = Ckpt.hasAnyManifest();
-    const bool HaveLegacy =
-        fileExists(Store.checkpointPath()) ||
-        fileExists(ResultsStore::backupPath(Store.checkpointPath()));
-    if (!HaveManifest && !HaveLegacy)
-      return failedPrecondition(
-          "resume requested but no checkpoint exists at " +
-          Store.checkpointPath());
-    bool HaveSharded = false;
-    bool HaveSingle = false;
-    bool ShardedBackup = false;
-    bool SingleBackup = false;
-    MomentSnapshot Sharded;
-    MomentSnapshot Single;
-    Status FirstError;
-    if (HaveManifest) {
-      // Rebuild the merged state from base + rank shards (bit-identical
-      // to the single-file path), falling back to the previous manifest
-      // generation on any CRC, short-read, missing-shard or payload
-      // failure.
-      Result<RecoveredCheckpoint> Recovered = restoreShardedCheckpoint(Ckpt);
-      if (Recovered) {
-        HaveSharded = true;
-        ShardedBackup = Recovered.value().FromBackupManifest;
-        Sharded = std::move(Recovered).value().Merged;
-      } else {
-        FirstError = Recovered.status();
-      }
-    }
-    if (HaveLegacy) {
-      // A checkpoint that fails its CRC is never loaded; the previous
-      // generation (checkpoint.dat.prev) covers the torn-write case.
-      Result<ResultsStore::RecoveredSnapshot> Recovered =
-          Store.readSnapshotWithFallback(Store.checkpointPath());
-      if (Recovered) {
-        HaveSingle = true;
-        SingleBackup = Recovered.value().FromBackup;
-        Single = std::move(Recovered).value().Snapshot;
-      } else if (FirstError.isOk()) {
-        FirstError = Recovered.status();
-      }
-    }
-    if (!HaveSharded && !HaveSingle)
-      return FirstError;
-    MomentSnapshot Previous;
-    const bool UseSharded =
-        HaveSharded &&
-        (!HaveSingle ||
-         Sharded.Moments.sampleVolume() >= Single.Moments.sampleVolume());
-    if (UseSharded) {
-      ResumedFromBackup = ShardedBackup;
-      RestoredFromShards = true;
-      Previous = std::move(Sharded);
-    } else {
-      // Either a legacy-only tree, every manifest generation was rejected
-      // (one more rung down the ladder — flagged as a backup resume), or
-      // checkpoint.dat is strictly fresher than the best manifest.
-      ResumedFromBackup = SingleBackup || (HaveManifest && !HaveSharded);
-      Previous = std::move(Single);
-    }
-    if (Previous.Moments.rows() != Config.Rows ||
-        Previous.Moments.columns() != Config.Columns)
-      return failedPrecondition(
-          "checkpoint shape does not match the configured matrix shape");
-    if (Previous.SequenceNumber == Config.SequenceNumber)
-      return failedPrecondition(
-          "resumed run must use a different experiment subsequence number "
-          "than the previous run (paper §3.2); previous used " +
-          std::to_string(Previous.SequenceNumber));
-    if (Previous.Histograms.size() != Config.Histograms.size())
-      return failedPrecondition(
-          "checkpoint histogram count does not match the configuration");
-    for (size_t Index = 0; Index < Config.Histograms.size(); ++Index) {
-      const HistogramEstimator &Saved = Previous.Histograms[Index];
-      const HistogramSpec &Spec = Config.Histograms[Index];
-      if (Saved.low() != Spec.Low || Saved.high() != Spec.High ||
-          Saved.binCount() != Spec.BinCount)
-        return failedPrecondition(
-            "checkpoint histogram geometry does not match the "
-            "configuration");
-    }
-    Base = std::move(Previous);
-    // The merged results of this run belong to the *new* experiment.
-    Base.SequenceNumber = Config.SequenceNumber;
-  } else {
-    if (Status Cleared = Store.clearPreviousRun(); !Cleared)
-      return Cleared;
+    Result<ResumeBase> Resumed =
+        restoreResumeBase(Store, Ckpt, std::move(Start.Base));
+    if (!Resumed)
+      return Resumed.status();
+    Start = std::move(Resumed).value();
+  } else if (Status Cleared = Store.clearPreviousRun(); !Cleared) {
+    return Cleared;
   }
+  const MomentSnapshot &Base = Start.Base;
   // After the res=0 clear (which removes the whole ckpt tree along with
   // the other per-run files), so the staging/shards directories survive.
   if (Config.CheckpointShards)
@@ -384,17 +222,14 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
   const size_t EntryCount = Config.Rows * Config.Columns;
 
   SharedRunState Shared;
-  CollectorState Collector;
-  Collector.LatestFromRank.assign(size_t(RankCount), MomentSnapshot{});
-  Collector.HaveSnapshot.assign(size_t(RankCount), false);
-  Collector.FinalReceived.assign(size_t(RankCount), false);
-  Collector.FinalsOutstanding = RankCount;
-  Collector.LastSaveNanos = StartNanos;
-  Collector.ShardRef.assign(size_t(RankCount), ckpt::ShardEntry{});
-  Collector.HaveShardRef.assign(size_t(RankCount), false);
-  Collector.ShardIndexSeen.assign(size_t(RankCount), 0);
+  CollectorState Collector(RankCount, StartNanos, emptySnapshot(Config));
 
-  Status CollectorFailure; // first IO failure seen by rank 0
+  // The first IO failure seen by rank 0 fails the run once it is over.
+  Status CollectorFailure;
+  auto keepFailure = [&](Status Failure) {
+    if (!Failure && CollectorFailure.isOk())
+      CollectorFailure = std::move(Failure);
+  };
   RunReport Report;
 
   // The merged-base shard every sharded commit references. Base is frozen
@@ -479,7 +314,7 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
         !Collector.DeadWorkers.empty() ||
         Shared.FailedSends.load(std::memory_order_relaxed) > 0;
     Log.DeadWorkerCount = int(Collector.DeadWorkers.size());
-    Log.ResumedFromBackup = ResumedFromBackup;
+    Log.ResumedFromBackup = Start.ResumedFromBackup;
     if (Merged.Moments.sampleVolume() > 0) {
       const ErrorBounds Bounds =
           Merged.Moments.errorBounds(Config.ErrorMultiplier);
@@ -514,15 +349,10 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
     if (Trace)
       Trace->completeSpan("runner.subtotal_merge", 0, MergeStart, MergeEnd);
     const RunLogInfo Log = buildLog(Merged, NowNanos);
-    if (Status Written =
-            Store.writeResults(Merged.Moments, Log, Config.ErrorMultiplier);
-        !Written && CollectorFailure.isOk())
-      CollectorFailure = Written;
+    keepFailure(
+        Store.writeResults(Merged.Moments, Log, Config.ErrorMultiplier));
     if (!Config.CheckpointShards) {
-      if (Status Written =
-              Store.writeSnapshot(Store.checkpointPath(), Merged);
-          !Written && CollectorFailure.isOk())
-        CollectorFailure = Written;
+      keepFailure(Store.writeSnapshot(Store.checkpointPath(), Merged));
     } else {
       // Sharded commit: the manifest references the latest shard every
       // rank has published so far. Worker shards carry this run's
@@ -536,27 +366,22 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
       Request.BaseVolume = Base.Moments.sampleVolume();
       Request.KeepShards = Config.CheckpointKeepShards;
       for (size_t Rank = 0; Rank < size_t(RankCount); ++Rank)
-        if (Collector.HaveShardRef[Rank])
+        if (Collector.ShardIndexSeen[Rank] > 0)
           Request.Shards.push_back(Collector.ShardRef[Rank]);
       // The stall this save-point spends on checkpointing: the full
       // commit when synchronous, a queue hand-off when asynchronous —
       // the contrast BENCH_ckpt.json quantifies.
       const int64_t HandoffStart = Time.nowNanos();
-      if (AsyncWriter) {
+      if (AsyncWriter)
         (void)AsyncWriter->enqueue(std::move(Request));
-      } else if (Status Committed = Ckpt.commit(Request);
-                 !Committed && CollectorFailure.isOk()) {
-        CollectorFailure = Committed;
-      }
+      else
+        keepFailure(Ckpt.commit(Request));
       SaveStallLatency->recordNanos(Time.nowNanos() - HandoffStart);
     }
     for (size_t Index = 0; Index < Config.Histograms.size(); ++Index) {
       const HistogramSpec &Spec = Config.Histograms[Index];
-      if (Status Written = writeFileAtomic(
-              histogramPath(Store, Spec.Row, Spec.Column),
-              Merged.Histograms[Index].toFileContents());
-          !Written && CollectorFailure.isOk())
-        CollectorFailure = Written;
+      keepFailure(writeFileAtomic(histogramPath(Store, Spec.Row, Spec.Column),
+                                  Merged.Histograms[Index].toFileContents()));
     }
     ++Collector.SavePointCount;
     Collector.LastSaveNanos = NowNanos;
@@ -602,12 +427,9 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
       Result<uint64_t> Bytes = Reader.readU64();
       Result<int64_t> Volume = Reader.readI64();
       if (!WriteIndex || !File || !Crc || !Bytes || !Volume ||
-          !Reader.atEnd()) {
-        if (CollectorFailure.isOk())
-          CollectorFailure = parseError("malformed shard report from rank " +
-                                        std::to_string(Incoming.Source));
-        return;
-      }
+          !Reader.atEnd())
+        return keepFailure(parseError("malformed shard report from rank " +
+                                      std::to_string(Incoming.Source)));
       const size_t Source = size_t(Incoming.Source);
       // Duplicated or delayed reports (injected faults) must never roll a
       // manifest reference back to an older shard.
@@ -620,19 +442,14 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
       Entry.Crc = Crc.value();
       Entry.Bytes = Bytes.value();
       Entry.Volume = Volume.value();
-      Collector.HaveShardRef[Source] = true;
       return;
     }
     Result<MomentSnapshot> Snapshot =
         MomentSnapshot::fromBytes(Incoming.Payload);
-    if (!Snapshot) {
-      if (CollectorFailure.isOk())
-        CollectorFailure = Snapshot.status();
-      return;
-    }
+    if (!Snapshot)
+      return keepFailure(Snapshot.status());
     const size_t Rank = size_t(Incoming.Source);
     Collector.LatestFromRank[Rank] = std::move(Snapshot).value();
-    Collector.HaveSnapshot[Rank] = true;
     if (Incoming.Tag == TagFinal && !Collector.FinalReceived[Rank]) {
       Collector.FinalReceived[Rank] = true;
       --Collector.FinalsOutstanding;
@@ -664,21 +481,32 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
       }
     }
     const int ThreadsPerRank = Config.WorkerThreadsPerRank;
+    MomentSnapshot Local = emptySnapshot(Config);
 
-    MomentSnapshot Local;
-    Local.SequenceNumber = Config.SequenceNumber;
-    Local.Moments = EstimatorMatrix(Config.Rows, Config.Columns);
-    Local.Histograms = makeHistograms(Config);
-    std::vector<double> Out(EntryCount);
-
-    int64_t LastPassNanos = Time.nowNanos();
-    int64_t LastPersistNanos = LastPassNanos;
+    int64_t LastPersistNanos = Time.nowNanos();
     // The on-disk subtotal freshness manaver needs (§3.4) is bounded by
     // the pass period, but in send-every-realization mode (PassPeriod 0)
     // writing a file per realization would swamp fast workloads — persist
     // at most every 250 ms there.
     const int64_t PersistPeriodNanos =
         Config.PassPeriodNanos > 0 ? Config.PassPeriodNanos : 250'000'000;
+
+    // A rank that cannot persist keeps simulating — its sent subtotals
+    // still reach the collector — but the failure is never silent, and on
+    // rank 0 it fails the run like any other collector-side IO error.
+    // Counters register lazily, so healthy runs' metrics.dat is unchanged.
+    auto noteWriteFailure = [&](std::string_view Counter, Status Failure) {
+      Registry.counter(Counter).add();
+      if (Rank == 0)
+        keepFailure(std::move(Failure));
+    };
+    // The §3.4 subtotal file manaver recovers from.
+    auto persistSubtotal = [&](const MomentSnapshot &Subtotal) {
+      if (Status Written = Store.writeSnapshot(Store.subtotalPath(Rank),
+                                               Subtotal);
+          !Written)
+        noteWriteFailure("runner.subtotal_write_failures", Written);
+    };
 
     int64_t ShardWriteIndex = 0;
     auto sendSubtotal = [&](int Tag) {
@@ -689,13 +517,14 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
       // moment of the last saving".
       const int64_t Now = Time.nowNanos();
       if (Tag == TagFinal || Now - LastPersistNanos >= PersistPeriodNanos) {
-        (void)Store.writeSnapshot(Store.subtotalPath(Rank), Local);
+        persistSubtotal(Local);
         if (Config.CheckpointShards) {
           // Publish this rank's cumulative shard at subtotal-persist
           // cadence and tell rank 0 where it landed. Shard freshness thus
           // equals §3.4 subtotal freshness; at the final send the shard
           // body IS the final subtotal, which makes the committed
           // generation reconstruct the collector's merged state exactly.
+          // On failure the manifest just references the previous shard.
           Result<ckpt::ShardEntry> Written =
               Ckpt.writeShard(Rank, Config.SequenceNumber, ++ShardWriteIndex,
                               Local.toFileContents(),
@@ -716,13 +545,7 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
               // Cumulative shards: the next report covers this one.
               Shared.FailedSends.fetch_add(1, std::memory_order_relaxed);
           } else {
-            // A rank that cannot publish keeps simulating — the manifest
-            // just references its previous shard — but the failure is
-            // never silent, and on rank 0 it fails the run like any other
-            // collector-side IO error.
-            Registry.counter("ckpt.shard_write_failures").add();
-            if (Rank == 0 && CollectorFailure.isOk())
-              CollectorFailure = Written.status();
+            noteWriteFailure("ckpt.shard_write_failures", Written.status());
           }
         }
         LastPersistNanos = Now;
@@ -749,119 +572,37 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
             ? Config.MaxSampleVolume / RankCount +
                   (Rank < int(Config.MaxSampleVolume % RankCount) ? 1 : 0)
             : -1;
-
-    if (ThreadsPerRank == 1) {
-    RealizationCursor Cursor(
-        Hierarchy,
-        StreamCoordinates{Config.SequenceNumber, uint64_t(Rank), 0});
-    int64_t Completed = 0;
-    obs::LatencyTally Tally;
     const fault::WorkerCrashSpec *Crash =
         Injector ? Injector->workerCrash(Rank) : nullptr;
 
-    // Shared covers threads of this process; stopRequested() additionally
-    // hears wire broadcasts when this rank is a forked worker.
-    while (!Shared.StopRequested.load(std::memory_order_relaxed) &&
-           !Comm.stopRequested()) {
-      if (Quota >= 0) {
-        if (Completed >= Quota)
-          break;
-      } else {
-        const int64_t Claimed =
-            Shared.ClaimedVolume.fetch_add(1, std::memory_order_relaxed);
-        if (Claimed >= Config.MaxSampleVolume)
-          break;
-      }
-
-      int64_t ComputeStart = 0;
-      int64_t ComputeEnd = 0;
-      if (UsePhilox) {
-        // Counter partitioning: realization k of this rank owns draw
-        // interval k·2^nr — the same coordinates the cursor would leap to.
-        Philox Stream = Philox::streamFor(
-            StreamCoordinates{Config.SequenceNumber, uint64_t(Rank),
-                              Cursor.nextRealizationIndex()},
-            Table.config());
-        Cursor.noteRealizationIssued();
-        ComputeStart = Time.nowNanos();
-        Realization(Stream, Out.data());
-        ComputeEnd = Time.nowNanos();
-      } else {
-        Lcg128 Stream = Cursor.beginRealization();
-        ComputeStart = Time.nowNanos();
-        Realization(Stream, Out.data());
-        ComputeEnd = Time.nowNanos();
-      }
-      Local.ComputeSeconds += double(ComputeEnd - ComputeStart) * 1e-9;
-      // Reuses the ComputeStart/ComputeEnd reads the engine takes anyway.
-      Tally.recordNanos(ComputeEnd - ComputeStart);
-      if (Trace)
-        Trace->completeSpan("runner.realization", Rank, ComputeStart,
-                            ComputeEnd);
-      Local.Moments.accumulate(Out.data());
-      for (size_t Index = 0; Index < Config.Histograms.size(); ++Index) {
-        const HistogramSpec &Spec = Config.Histograms[Index];
-        Local.Histograms[Index].add(
-            Out[Spec.Row * Config.Columns + Spec.Column]);
-      }
-      ++Completed;
-
-      // Injected worker death: the thread vanishes mid-run without a final
-      // send. PersistBeforeCrash models a node whose filesystem survives
-      // the process (the paper's cluster), so manaver can still recover
-      // every completed realization.
-      if (Crash && Completed >= Crash->AfterRealizations) {
-        foldTally(Rank, Tally);
-        if (Crash->PersistBeforeCrash)
-          (void)Store.writeSnapshot(Store.subtotalPath(Rank), Local);
-        Injector->noteWorkerCrashed(Rank);
-        if (Crash->RaiseKillSignal)
-          Comm.crashHard(); // SIGKILL the worker process: a real node loss
-        Comm.markDead(Rank);
+    // Ends the whole run once the time limit has passed. Only the rank
+    // thread calls this: it alone talks to the wire.
+    auto checkTimeLimit = [&](int64_t Now) {
+      if (Config.TimeLimitNanos == 0 ||
+          Now - StartNanos < Config.TimeLimitNanos ||
+          Shared.StopRequested.load(std::memory_order_relaxed))
         return;
-      }
+      Shared.StoppedOnTimeLimit.store(true, std::memory_order_relaxed);
+      Shared.StopRequested.store(true, std::memory_order_relaxed);
+      Comm.requestStop(StopReason::TimeLimit);
+      if (Trace)
+        Trace->instantAt("runner.stop.time_limit", Rank, Now);
+    };
 
-      const int64_t Now = ComputeEnd;
-      if (Config.TimeLimitNanos > 0 &&
-          Now - StartNanos >= Config.TimeLimitNanos) {
-        Shared.StoppedOnTimeLimit.store(true, std::memory_order_relaxed);
-        Shared.StopRequested.store(true, std::memory_order_relaxed);
-        Comm.requestStop(StopReason::TimeLimit);
-        if (Trace)
-          Trace->instantAt("runner.stop.time_limit", Rank, Now);
-      }
-      if (Config.PassPeriodNanos == 0 ||
-          Now - LastPassNanos >= Config.PassPeriodNanos) {
-        foldTally(Rank, Tally);
-        sendSubtotal(TagSubtotal);
-        LastPassNanos = Now;
-      }
-      if (Rank == 0)
-        collectorPoll(Comm, Now);
-    }
-    foldTally(Rank, Tally);
-    } else {
-    // --- Threaded fan-out: N worker threads inside this rank -------------
-    // Each thread owns a private accumulator and a stride-N cursor (thread
-    // t runs this rank's realizations t, t + N, ...), so the N threads
-    // jointly consume exactly the substreams the serial rank would. They
-    // hand *cumulative* snapshots to this rank thread through a mailbox —
-    // the same MPSC primitive the fabric uses — and only the rank thread
-    // talks to the collector, so the §2.2 protocol is untouched. Thread
-    // partials merge in thread-index order, making the merged rank
-    // snapshot independent of message arrival interleaving.
-    Mailbox IntraRank;
-    auto workerBody = [&](int Thread) {
+    // --- The realization loop --------------------------------------------
+    // Thread t of N simulates this rank's realizations t, t + N, ... into
+    // \p Acc through a stride-N cursor, so the N threads jointly consume
+    // exactly the substreams one thread would. \p AfterRealization(Now,
+    // PassDue) runs after every realization; PassDue means a pass period
+    // elapsed and the metric tally was just folded. Returns false when an
+    // injected worker crash ended the rank.
+    auto realizationLoop = [&](int Thread, MomentSnapshot &Acc,
+                               auto &&AfterRealization) {
       RealizationCursor Cursor(
           Hierarchy,
           StreamCoordinates{Config.SequenceNumber, uint64_t(Rank),
                             uint64_t(Thread)},
           uint64_t(ThreadsPerRank));
-      MomentSnapshot Mine;
-      Mine.SequenceNumber = Config.SequenceNumber;
-      Mine.Moments = EstimatorMatrix(Config.Rows, Config.Columns);
-      Mine.Histograms = makeHistograms(Config);
-      std::vector<double> ThreadOut(EntryCount);
       // Round-robin split of the rank quota: thread t owns the rank's
       // realizations congruent to t modulo N.
       const int64_t ThreadQuota =
@@ -869,132 +610,168 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
                     : (Quota > Thread ? (Quota - Thread + ThreadsPerRank - 1) /
                                             ThreadsPerRank
                                       : 0);
-      int64_t Done = 0;
+      std::vector<double> Out(EntryCount);
       obs::LatencyTally Tally;
+      int64_t Done = 0;
       int64_t LastThreadPassNanos = Time.nowNanos();
 
-      while (!Shared.StopRequested.load(std::memory_order_relaxed)) {
+      // Shared covers threads of this process; stopRequested() additionally
+      // hears wire broadcasts when this rank is a forked worker.
+      while (!Shared.StopRequested.load(std::memory_order_relaxed) &&
+             !Comm.stopRequested()) {
         if (ThreadQuota >= 0) {
           if (Done >= ThreadQuota)
             break;
-        } else {
-          const int64_t Claimed =
-              Shared.ClaimedVolume.fetch_add(1, std::memory_order_relaxed);
-          if (Claimed >= Config.MaxSampleVolume)
-            break;
+        } else if (Shared.ClaimedVolume.fetch_add(
+                       1, std::memory_order_relaxed) >=
+                   Config.MaxSampleVolume) {
+          break;
         }
 
         int64_t ComputeStart = 0;
         int64_t ComputeEnd = 0;
+        auto simulate = [&](RandomSource &Stream) {
+          ComputeStart = Time.nowNanos();
+          Realization(Stream, Out.data());
+          ComputeEnd = Time.nowNanos();
+        };
+        // The one backend dispatch. Both place realization k of this rank
+        // at the same (e, p, k): the LCG cursor by leap-ahead, Philox by
+        // the counter interval k·2^nr.
         if (UsePhilox) {
-          // Thread t draws from realization intervals t, t + N, ... — the
-          // identical stride-N partition the LCG cursor leaps through.
           Philox Stream = Philox::streamFor(
               StreamCoordinates{Config.SequenceNumber, uint64_t(Rank),
                                 Cursor.nextRealizationIndex()},
               Table.config());
           Cursor.noteRealizationIssued();
-          ComputeStart = Time.nowNanos();
-          Realization(Stream, ThreadOut.data());
-          ComputeEnd = Time.nowNanos();
+          simulate(Stream);
         } else {
           Lcg128 Stream = Cursor.beginRealization();
-          ComputeStart = Time.nowNanos();
-          Realization(Stream, ThreadOut.data());
-          ComputeEnd = Time.nowNanos();
+          simulate(Stream);
         }
-        Mine.ComputeSeconds += double(ComputeEnd - ComputeStart) * 1e-9;
+        Acc.ComputeSeconds += double(ComputeEnd - ComputeStart) * 1e-9;
+        // Reuses the ComputeStart/ComputeEnd reads the engine takes anyway.
         Tally.recordNanos(ComputeEnd - ComputeStart);
         if (Trace)
           Trace->completeSpan("runner.realization", Rank, ComputeStart,
                               ComputeEnd);
-        Mine.Moments.accumulate(ThreadOut.data());
+        Acc.Moments.accumulate(Out.data());
         for (size_t Index = 0; Index < Config.Histograms.size(); ++Index) {
           const HistogramSpec &Spec = Config.Histograms[Index];
-          Mine.Histograms[Index].add(
-              ThreadOut[Spec.Row * Config.Columns + Spec.Column]);
+          Acc.Histograms[Index].add(
+              Out[Spec.Row * Config.Columns + Spec.Column]);
         }
         ++Done;
 
-        const int64_t Now = ComputeEnd;
-        if (Config.TimeLimitNanos > 0 &&
-            Now - StartNanos >= Config.TimeLimitNanos) {
-          Shared.StoppedOnTimeLimit.store(true, std::memory_order_relaxed);
-          Shared.StopRequested.store(true, std::memory_order_relaxed);
-          if (Trace)
-            Trace->instantAt("runner.stop.time_limit", Rank, Now);
-        }
-        if (Config.PassPeriodNanos == 0 ||
-            Now - LastThreadPassNanos >= Config.PassPeriodNanos) {
+        // Injected worker death (N = 1 only; validate() rejects the rest):
+        // the rank vanishes mid-run without a final send.
+        // PersistBeforeCrash models a node whose filesystem survives the
+        // process (the paper's cluster), so manaver can still recover every
+        // completed realization.
+        if (Crash && Done >= Crash->AfterRealizations) {
           foldTally(Rank, Tally);
-          IntraRank.push(Message{Thread, TagSubtotal, Mine.toBytes()});
+          if (Crash->PersistBeforeCrash)
+            persistSubtotal(Acc);
+          Injector->noteWorkerCrashed(Rank);
+          if (Crash->RaiseKillSignal)
+            Comm.crashHard(); // SIGKILL the worker process: a real node loss
+          Comm.markDead(Rank);
+          return false;
+        }
+
+        const int64_t Now = ComputeEnd;
+        const bool PassDue =
+            Config.PassPeriodNanos == 0 ||
+            Now - LastThreadPassNanos >= Config.PassPeriodNanos;
+        if (PassDue) {
+          foldTally(Rank, Tally);
           LastThreadPassNanos = Now;
         }
+        AfterRealization(Now, PassDue);
       }
-      // Always hand in the final partial — even a zero-quota thread, so
-      // the rank loop's finals accounting stays exact.
       foldTally(Rank, Tally);
-      IntraRank.push(Message{Thread, TagFinal, Mine.toBytes()});
+      return true;
     };
 
-    WorkerGroup Workers(ThreadsPerRank, workerBody);
+    if (ThreadsPerRank == 1) {
+      // No mailbox hop: the loop runs on this rank thread, which does the
+      // rank-level work between realizations itself.
+      if (!realizationLoop(0, Local, [&](int64_t Now, bool PassDue) {
+            checkTimeLimit(Now);
+            if (PassDue)
+              sendSubtotal(TagSubtotal);
+            if (Rank == 0)
+              collectorPoll(Comm, Now);
+          }))
+        return;
+    } else {
+      // Worker threads hand *cumulative* snapshots to this rank thread
+      // through a mailbox — the same MPSC primitive the fabric uses — and
+      // only the rank thread talks to the collector, so the §2.2 protocol
+      // is untouched.
+      Mailbox IntraRank;
+      WorkerGroup Workers(ThreadsPerRank, [&](int Thread) {
+        MomentSnapshot Mine = emptySnapshot(Config);
+        (void)realizationLoop(Thread, Mine, [&](int64_t, bool PassDue) {
+          if (PassDue)
+            IntraRank.push(Message{Thread, TagSubtotal, Mine.toBytes()});
+        });
+        // Always hand in the final partial — even a zero-quota thread, so
+        // the finals accounting below stays exact.
+        IntraRank.push(Message{Thread, TagFinal, Mine.toBytes()});
+      });
 
-    const size_t ThreadCount = size_t(ThreadsPerRank);
-    std::vector<MomentSnapshot> ThreadLatest(ThreadCount);
-    std::vector<bool> ThreadHave(ThreadCount, false);
-    int ThreadFinalsOutstanding = ThreadsPerRank;
-    auto mergeThreads = [&] {
-      MomentSnapshot Merged;
-      Merged.SequenceNumber = Config.SequenceNumber;
-      Merged.Moments = EstimatorMatrix(Config.Rows, Config.Columns);
-      Merged.Histograms = makeHistograms(Config);
-      for (int Thread = 0; Thread < ThreadsPerRank; ++Thread)
-        if (ThreadHave[size_t(Thread)])
-          mergeSnapshotInto(Merged, ThreadLatest[size_t(Thread)]);
-      return Merged;
-    };
+      // Thread partials merge in thread-index order, making the merged
+      // rank snapshot independent of message arrival interleaving.
+      std::vector<MomentSnapshot> ThreadLatest(size_t(ThreadsPerRank),
+                                               emptySnapshot(Config));
+      auto mergeThreads = [&] {
+        MomentSnapshot Merged = emptySnapshot(Config);
+        for (const MomentSnapshot &Partial : ThreadLatest)
+          mergeSnapshotInto(Merged, Partial);
+        return Merged;
+      };
 
-    bool StopRelayed = false;
-    while (ThreadFinalsOutstanding > 0) {
-      // Relay stop both ways: wire broadcasts into this process's Shared
-      // flags (so the worker threads wind down), and a locally detected
-      // time limit out onto the wire (so the other ranks hear it too).
-      if (!StopRelayed &&
-          Shared.StoppedOnTimeLimit.load(std::memory_order_relaxed)) {
-        Comm.requestStop(StopReason::TimeLimit);
-        StopRelayed = true;
-      }
-      if (Comm.stopRequested())
-        Shared.StopRequested.store(true, std::memory_order_relaxed);
-      if (std::optional<Message> Incoming =
-              IntraRank.popWait(-1, /*TimeoutNanos=*/2'000'000, &Time)) {
-        Result<MomentSnapshot> Snapshot =
-            MomentSnapshot::fromBytes(Incoming->Payload);
-        // Same-process round trip: a decode failure here is a bug, not an
-        // IO hazard.
-        PARMONC_ASSERT(Snapshot.isOk(), "intra-rank snapshot decode failed");
-        const size_t Thread = size_t(Incoming->Source);
-        ThreadLatest[Thread] = std::move(Snapshot).value();
-        ThreadHave[Thread] = true;
-        if (Incoming->Tag == TagFinal)
-          --ThreadFinalsOutstanding;
-      }
-      const int64_t Now = Time.nowNanos();
-      if (Config.PassPeriodNanos == 0 ||
-          Now - LastPassNanos >= Config.PassPeriodNanos) {
-        Local = mergeThreads();
-        if (Local.Moments.sampleVolume() > 0) {
-          sendSubtotal(TagSubtotal);
-          LastPassNanos = Now;
+      int ThreadFinalsOutstanding = ThreadsPerRank;
+      int64_t LastPassNanos = Time.nowNanos();
+      while (ThreadFinalsOutstanding > 0) {
+        // Drain everything queued on entry (waiting up to 2 ms when
+        // nothing is): taking one message per iteration falls behind N
+        // producers as soon as persisting or a save-point slows the
+        // iteration down. The entry count bounds the drain so producers
+        // cannot starve the pass below.
+        for (size_t Left = std::max<size_t>(IntraRank.pendingCount(), 1);
+             Left > 0; --Left) {
+          std::optional<Message> Incoming =
+              IntraRank.popWait(-1, /*TimeoutNanos=*/2'000'000, &Time);
+          if (!Incoming)
+            break;
+          Result<MomentSnapshot> Snapshot =
+              MomentSnapshot::fromBytes(Incoming->Payload);
+          // Same-process round trip: a decode failure here is a bug, not
+          // an IO hazard.
+          PARMONC_ASSERT(Snapshot.isOk(), "intra-rank snapshot decode failed");
+          ThreadLatest[size_t(Incoming->Source)] = std::move(Snapshot).value();
+          if (Incoming->Tag == TagFinal)
+            --ThreadFinalsOutstanding;
         }
+        const int64_t Now = Time.nowNanos();
+        checkTimeLimit(Now);
+        if (Config.PassPeriodNanos == 0 ||
+            Now - LastPassNanos >= Config.PassPeriodNanos) {
+          Local = mergeThreads();
+          if (Local.Moments.sampleVolume() > 0) {
+            sendSubtotal(TagSubtotal);
+            LastPassNanos = Now;
+          }
+        }
+        if (Rank == 0)
+          collectorPoll(Comm, Now);
       }
-      if (Rank == 0)
-        collectorPoll(Comm, Now);
-    }
-    Workers.join();
-    // Every thread's final partial, merged in thread order: the rank's
-    // definitive subtotal for the epilogue below.
-    Local = mergeThreads();
+      Workers.join();
+      // Every thread's final partial, merged in thread order: the rank's
+      // definitive subtotal for the epilogue below.
+      Local = mergeThreads();
     }
 
     // A crashed collector kills the whole job: nobody finalizes. Forked
@@ -1058,12 +835,8 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
           Shared.StoppedOnErrorTarget.load(std::memory_order_relaxed);
       Report.StoppedOnTimeLimit =
           Shared.StoppedOnTimeLimit.load(std::memory_order_relaxed);
-      Report.PerProcessorVolumes.clear();
-      for (size_t RankIndex = 0; RankIndex < size_t(RankCount); ++RankIndex)
-        Report.PerProcessorVolumes.push_back(
-            Collector.HaveSnapshot[RankIndex]
-                ? Collector.LatestFromRank[RankIndex].Moments.sampleVolume()
-                : 0);
+      for (const MomentSnapshot &Latest : Collector.LatestFromRank)
+        Report.PerProcessorVolumes.push_back(Latest.Moments.sampleVolume());
     }
   };
 
@@ -1108,12 +881,10 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
   // lost, exactly as a SIGKILL would lose it — while a normal finish
   // drains it and surfaces the first commit error.
   if (AsyncWriter) {
-    if (Shared.Killed.load(std::memory_order_relaxed)) {
+    if (Shared.Killed.load(std::memory_order_relaxed))
       AsyncWriter->abandon();
-    } else if (Status Stopped = AsyncWriter->stop();
-               !Stopped && CollectorFailure.isOk()) {
-      CollectorFailure = Stopped;
-    }
+    else
+      keepFailure(AsyncWriter->stop());
     Report.CoalescedCheckpoints = AsyncWriter->coalescedCount();
   }
 
@@ -1135,20 +906,16 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
   std::sort(Report.DeadWorkers.begin(), Report.DeadWorkers.end());
   Report.Degraded = !Report.DeadWorkers.empty() || Report.FailedSends > 0;
   Report.SimulatedCrash = Shared.Killed.load(std::memory_order_relaxed);
-  Report.ResumedFromBackup = ResumedFromBackup;
-  Report.RestoredFromShards = RestoredFromShards;
+  Report.ResumedFromBackup = Start.ResumedFromBackup;
+  Report.RestoredFromShards = Start.RestoredFromShards;
   Report.RngBackendName = rngBackendName(Config.RngBackend);
 
   Registry.gauge("runner.elapsed_seconds").set(Report.ElapsedSeconds);
   Report.Metrics = Registry.snapshot();
-  if (Status Written = writeFileAtomic(Store.metricsPath(),
-                                       Report.Metrics.toFileContents());
-      !Written && CollectorFailure.isOk())
-    CollectorFailure = Written;
+  keepFailure(
+      writeFileAtomic(Store.metricsPath(), Report.Metrics.toFileContents()));
   if (Trace)
-    if (Status Written = writeFileAtomic(Store.tracePath(), Trace->toJson());
-        !Written && CollectorFailure.isOk())
-      CollectorFailure = Written;
+    keepFailure(writeFileAtomic(Store.tracePath(), Trace->toJson()));
 
   if (!CollectorFailure.isOk())
     return CollectorFailure;

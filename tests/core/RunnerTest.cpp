@@ -477,5 +477,79 @@ TEST(Runner, ProgressObserverSeesMonotoneSavePoints) {
   EXPECT_EQ(Reports.back().TotalSampleVolume, 3000);
 }
 
+TEST(Runner, FanOutRankKeepsUpWithItsWorkers) {
+  // 2 ranks x 4 threads handing in a subtotal every millisecond: the rank
+  // thread must drain its mailbox as fast as the workers fill it, or it
+  // keeps merging a backlog long after the time limit stopped them.
+  ScratchDir Dir("fanout_limit");
+  RunConfig Config = baseConfig(Dir.path());
+  Config.MaxSampleVolume = 1'000'000'000'000;
+  Config.ProcessorCount = 2;
+  Config.WorkerThreadsPerRank = 4;
+  Config.PassPeriodNanos = 1'000'000;
+  Config.AveragePeriodNanos = 2'000'000;
+  Config.TimeLimitNanos = 50'000'000;
+  Result<RunReport> Report = runSimulation(uniformRealization, Config);
+  ASSERT_TRUE(Report.isOk()) << Report.status().toString();
+  EXPECT_TRUE(Report.value().StoppedOnTimeLimit);
+  EXPECT_LT(Report.value().ElapsedSeconds, 0.25);
+}
+
+/// 2 ranks x \p Threads with rank \p BlockedRank's subtotal file
+/// unwritable: writeFileAtomic cannot open its temp path while a directory
+/// sits there.
+RunConfig blockedSubtotalConfig(const std::string &WorkDir, int Threads,
+                                int BlockedRank) {
+  RunConfig Config = baseConfig(WorkDir);
+  Config.MaxSampleVolume = 400;
+  Config.AveragePeriodNanos = 10'000'000;
+  Config.ProcessorCount = 2;
+  Config.WorkerThreadsPerRank = Threads;
+  Config.DeterministicSchedule = true;
+  ResultsStore Store(WorkDir);
+  EXPECT_TRUE(Store.prepareDirectories().isOk());
+  std::filesystem::create_directories(Store.subtotalPath(BlockedRank) +
+                                      ".tmp");
+  return Config;
+}
+
+TEST(Runner, SubtotalWriteFailureOnWorkerRankIsCounted) {
+  for (int Threads : {1, 4}) {
+    ScratchDir Dir("subtotal_fail_r1_t" + std::to_string(Threads));
+    const RunConfig Config = blockedSubtotalConfig(Dir.path(), Threads, 1);
+    Result<RunReport> Report = runSimulation(uniformRealization, Config);
+    // A worker that cannot persist keeps simulating: the collector still
+    // holds its sent subtotals, so the run itself completes.
+    ASSERT_TRUE(Report.isOk()) << Report.status().toString();
+    EXPECT_EQ(Report.value().TotalSampleVolume, Config.MaxSampleVolume);
+    const int64_t *Failures =
+        Report.value().Metrics.counterValue("runner.subtotal_write_failures");
+    ASSERT_NE(Failures, nullptr) << "threads " << Threads;
+    EXPECT_GE(*Failures, 1) << "threads " << Threads;
+  }
+}
+
+TEST(Runner, SubtotalWriteFailureOnRankZeroFailsTheRun) {
+  for (int Threads : {1, 4}) {
+    ScratchDir Dir("subtotal_fail_r0_t" + std::to_string(Threads));
+    const RunConfig Config = blockedSubtotalConfig(Dir.path(), Threads, 0);
+    EXPECT_FALSE(runSimulation(uniformRealization, Config).isOk())
+        << "threads " << Threads;
+  }
+}
+
+TEST(Runner, CleanRunRegistersNoSubtotalWriteFailures) {
+  // Registered lazily, so metrics.dat of a healthy run is unchanged.
+  ScratchDir Dir("subtotal_clean");
+  RunConfig Config = baseConfig(Dir.path());
+  Config.MaxSampleVolume = 400;
+  Config.AveragePeriodNanos = 10'000'000;
+  Result<RunReport> Report = runSimulation(uniformRealization, Config);
+  ASSERT_TRUE(Report.isOk());
+  EXPECT_EQ(
+      Report.value().Metrics.counterValue("runner.subtotal_write_failures"),
+      nullptr);
+}
+
 } // namespace
 } // namespace parmonc

@@ -19,9 +19,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <string>
+#include <thread> // mclint: allow(R8): sleep helper only
 #include <vector>
 
 namespace parmonc {
@@ -69,8 +71,9 @@ RunConfig threadedConfig(const std::string &WorkDir, int Threads) {
 }
 
 /// Runs to completion and returns the final checkpoint snapshot.
-MomentSnapshot runAndLoad(const RunConfig &Config, RunReport *ReportOut) {
-  Result<RunReport> Outcome = runSimulation(integerRealization, Config);
+MomentSnapshot runAndLoad(const RunConfig &Config, RunReport *ReportOut,
+                          const RealizationFn &Routine = integerRealization) {
+  Result<RunReport> Outcome = runSimulation(Routine, Config);
   EXPECT_TRUE(Outcome.isOk()) << Outcome.status().toString();
   if (ReportOut)
     *ReportOut = Outcome.value();
@@ -193,6 +196,100 @@ TEST(RunnerThreaded, MoreThreadsThanQuotaStillCompletes) {
   RunReport Report;
   (void)runAndLoad(Config, &Report);
   EXPECT_EQ(Report.TotalSampleVolume, 3);
+}
+
+// --- Fan-out paths beyond the deterministic full-volume run -------------
+
+/// A routine slow enough that a 50 ms limit stops the run long before its
+/// "endless" sample volume, yet fast enough to hand in many subtotals.
+void slowIntegerRealization(RandomSource &Source, double *Out) {
+  std::this_thread::sleep_for(std::chrono::microseconds(50));
+  integerRealization(Source, Out);
+}
+
+RunConfig timeLimitedConfig(const std::string &WorkDir, int Threads) {
+  RunConfig Config = threadedConfig(WorkDir, Threads);
+  Config.MaxSampleVolume = 1'000'000'000;
+  Config.TimeLimitNanos = 50'000'000;
+  return Config;
+}
+
+int64_t volumeSum(const RunReport &Report) {
+  int64_t Sum = 0;
+  for (int64_t Volume : Report.PerProcessorVolumes)
+    Sum += Volume;
+  return Sum;
+}
+
+/// Runs \p Config to its time limit: every rank's final subtotal must
+/// still arrive, so the per-processor volumes add up to the total.
+void expectTimeLimitStop(const RunConfig &Config) {
+  RunReport Report;
+  (void)runAndLoad(Config, &Report, slowIntegerRealization);
+  EXPECT_TRUE(Report.StoppedOnTimeLimit);
+  EXPECT_GT(Report.TotalSampleVolume, 0);
+  EXPECT_EQ(volumeSum(Report), Report.TotalSampleVolume);
+}
+
+TEST(RunnerThreaded, ProcessRanksMatchThreadRanksBitExactly) {
+  // 2 forked ranks x 2 worker threads against the same fan-out over the
+  // thread transport: the intra-rank merge must not depend on where the
+  // rank lives.
+  ScratchDir ThreadDir("xport_threads"), ProcessDir("xport_procs");
+  RunReport ThreadReport, ProcessReport;
+  RunConfig ThreadRun = threadedConfig(ThreadDir.path(), 2);
+  RunConfig ProcessRun = threadedConfig(ProcessDir.path(), 2);
+  ProcessRun.Transport = TransportKind::Processes;
+  const MomentSnapshot OverThreads = runAndLoad(ThreadRun, &ThreadReport);
+  const MomentSnapshot OverProcesses = runAndLoad(ProcessRun, &ProcessReport);
+  expectIdenticalSums(OverThreads, OverProcesses);
+  EXPECT_EQ(ThreadReport.PerProcessorVolumes,
+            ProcessReport.PerProcessorVolumes);
+  EXPECT_EQ(ProcessReport.TotalSampleVolume, ProcessRun.MaxSampleVolume);
+}
+
+TEST(RunnerThreaded, TimeLimitStopsDeterministicFanOut) {
+  ScratchDir Dir("limit_det");
+  expectTimeLimitStop(timeLimitedConfig(Dir.path(), 4));
+}
+
+TEST(RunnerThreaded, TimeLimitStopsDynamicFanOut) {
+  ScratchDir Dir("limit_dyn");
+  RunConfig Config = timeLimitedConfig(Dir.path(), 4);
+  Config.DeterministicSchedule = false;
+  expectTimeLimitStop(Config);
+}
+
+TEST(RunnerThreaded, TimeLimitStopsProcessFanOut) {
+  ScratchDir Dir("limit_procs");
+  RunConfig Config = timeLimitedConfig(Dir.path(), 2);
+  Config.Transport = TransportKind::Processes;
+  expectTimeLimitStop(Config);
+}
+
+TEST(RunnerThreaded, ErrorTargetStopsFourThreadsPerRank) {
+  ScratchDir Dir("errtarget");
+  RunConfig Config = threadedConfig(Dir.path(), 4);
+  Config.MaxSampleVolume = 1'000'000'000;
+  Config.TargetMaxAbsoluteError = 0.5; // floor(16 u) needs ~800 draws
+  RunReport Report;
+  (void)runAndLoad(Config, &Report);
+  EXPECT_TRUE(Report.StoppedOnErrorTarget);
+  EXPECT_LT(Report.TotalSampleVolume, Config.MaxSampleVolume);
+  EXPECT_LE(Report.MaxAbsoluteError, 0.5);
+  EXPECT_EQ(volumeSum(Report), Report.TotalSampleVolume);
+}
+
+TEST(RunnerThreaded, PhiloxDynamicScheduleReachesFullVolume) {
+  ScratchDir Dir("philox_dynamic");
+  RunConfig Config = threadedConfig(Dir.path(), 4);
+  Config.DeterministicSchedule = false;
+  Config.RngBackend = RngBackendKind::Philox;
+  RunReport Report;
+  (void)runAndLoad(Config, &Report);
+  EXPECT_EQ(Report.TotalSampleVolume, Config.MaxSampleVolume);
+  EXPECT_EQ(volumeSum(Report), Config.MaxSampleVolume);
+  EXPECT_EQ(Report.RngBackendName, "philox");
 }
 
 } // namespace
