@@ -44,6 +44,10 @@ struct Message {
   int Source = -1;
   int Tag = 0;
   std::vector<uint8_t> Payload;
+  /// Latest-wins delivery: pushing this message removes every queued,
+  /// undelivered message with the same source and tag. Senders set it on
+  /// cumulative payloads, where only the newest one carries information.
+  bool Supersedes = false;
 };
 
 /// Verdict of the fabric's fault hook for one send attempt. The fabric is
@@ -74,10 +78,20 @@ using SendFaultHook = std::function<SendFault(int, int, int)>;
 /// realization, and producers write only once per pass period.
 class Mailbox {
 public:
-  /// Enqueues a message (called by any sender thread). Messages pushed
-  /// after close() are dropped — the backend is tearing down and nobody
-  /// will ever pop them.
+  /// Enqueues a message (called by any sender thread) at the back of the
+  /// queue. A superseding message first removes the queued messages it
+  /// replaces (Message::Supersedes); appending it at the back keeps every
+  /// source's messages in send order. Messages pushed after close() are
+  /// dropped — the backend is tearing down and nobody will ever pop them.
   void push(Message Incoming);
+
+  /// Counts the messages superseding pushes remove in \p Registry's
+  /// "comm.messages_superseded" counter, registered at the first removal
+  /// so a run that never coalesces keeps its instrument set. Call before
+  /// the first push.
+  void countSupersededIn(obs::MetricsRegistry *Registry) {
+    Metrics = Registry;
+  }
 
   /// Removes and returns the oldest message whose tag matches \p Tag, or
   /// any message when \p Tag is negative. Non-blocking; empty optional if
@@ -123,6 +137,7 @@ private:
   std::deque<Message> Queue;
   std::atomic<size_t> QueuedCount{0};
   bool Closed = false;
+  obs::MetricsRegistry *Metrics = nullptr;
 };
 
 /// The shared state connecting all ranks of one thread-backed run.
@@ -187,9 +202,10 @@ public:
   void delayMessage(int Destination, int64_t ReleaseNanos, Message Held);
 
   /// Attaches observability counters ("comm.messages_sent",
-  /// "comm.bytes_sent") and the "comm.collector_queue_depth" gauge
-  /// (sampled at every send to rank 0 — the §2.2 collector-congestion
-  /// signal). Call before any rank starts sending.
+  /// "comm.bytes_sent", and "comm.messages_superseded" once a superseding
+  /// send removes a queued message) and the "comm.collector_queue_depth"
+  /// gauge (sampled at every send to rank 0 — the §2.2
+  /// collector-congestion signal). Call before any rank starts sending.
   void attachMetrics(obs::MetricsRegistry &Registry);
 
   obs::Counter *messagesSentCounter() const { return MessagesSent; }
@@ -251,7 +267,7 @@ public:
   void send(int Destination, int Tag, std::vector<uint8_t> Payload) {
     (void)sendReliable(Destination, Tag, std::move(Payload),
                        /*MaxAttempts=*/1, /*BackoffNanos=*/0,
-                       /*TimeSource=*/nullptr);
+                       /*TimeSource=*/nullptr, /*Supersedes=*/false);
   }
 
   /// Send with a bounded retry loop: a Fail verdict from the fault hook is
@@ -259,12 +275,14 @@ public:
   /// \p TimeSource between attempts (a ManualClock backoff costs nothing).
   /// Returns the final failure once the attempts are exhausted. Dropped
   /// messages still count as success — a real network loses data without
-  /// telling the sender.
+  /// telling the sender. \p Supersedes marks the message latest-wins
+  /// (Message::Supersedes) on either transport.
   [[nodiscard]] virtual Status sendReliable(int Destination, int Tag,
                                             std::vector<uint8_t> Payload,
                                             int MaxAttempts,
                                             int64_t BackoffNanos,
-                                            const Clock *TimeSource) = 0;
+                                            const Clock *TimeSource,
+                                            bool Supersedes) = 0;
 
   /// Non-blocking receive of the oldest message with \p Tag (-1 = any).
   virtual std::optional<Message> tryReceive(int Tag = -1) = 0;
@@ -316,7 +334,8 @@ public:
   [[nodiscard]] Status sendReliable(int Destination, int Tag,
                                     std::vector<uint8_t> Payload,
                                     int MaxAttempts, int64_t BackoffNanos,
-                                    const Clock *TimeSource) override;
+                                    const Clock *TimeSource,
+                                    bool Supersedes) override;
 
   std::optional<Message> tryReceive(int Tag = -1) override;
   std::optional<Message> receiveWait(int Tag, int64_t TimeoutNanos,

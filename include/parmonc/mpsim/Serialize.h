@@ -17,6 +17,7 @@
 
 #include "parmonc/support/Status.h"
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -27,6 +28,10 @@ namespace parmonc {
 /// Appends typed values to a byte buffer.
 class ByteWriter {
 public:
+  /// Reserves room for \p Bytes more bytes, so a caller that knows the
+  /// encoded size grows the buffer once.
+  void reserve(size_t Bytes) { Buffer.reserve(Buffer.size() + Bytes); }
+
   void writeU64(uint64_t Value) {
     // Explicit little-endian layout, independent of host byte order.
     for (int Byte = 0; Byte < 8; ++Byte)
@@ -46,10 +51,14 @@ public:
     writeU64(Bits);
   }
 
+  /// Length-prefixed; the elements go as one memcpy on little-endian
+  /// hosts, element by element elsewhere — the same bytes either way.
   void writeDoubleVector(const std::vector<double> &Values) {
-    writeU64(Values.size());
-    for (double Value : Values)
-      writeDouble(Value);
+    writeVector(Values);
+  }
+
+  void writeI64Vector(const std::vector<int64_t> &Values) {
+    writeVector(Values);
   }
 
   void writeString(const std::string &Text) {
@@ -61,6 +70,24 @@ public:
   std::vector<uint8_t> takeBytes() { return std::move(Buffer); }
 
 private:
+  template <typename T> void writeVector(const std::vector<T> &Values) {
+    static_assert(sizeof(T) == 8);
+    writeU64(Values.size());
+    if constexpr (std::endian::native == std::endian::little) {
+      const size_t Offset = Buffer.size();
+      Buffer.resize(Offset + Values.size() * sizeof(T));
+      if (!Values.empty())
+        std::memcpy(Buffer.data() + Offset, Values.data(),
+                    Values.size() * sizeof(T));
+    } else {
+      for (T Value : Values) {
+        uint64_t Bits;
+        std::memcpy(&Bits, &Value, sizeof(Bits));
+        writeU64(Bits);
+      }
+    }
+  }
+
   std::vector<uint8_t> Buffer;
 };
 
@@ -74,9 +101,7 @@ public:
   [[nodiscard]] Result<uint64_t> readU64() {
     if (Cursor + 8 > Buffer.size())
       return parseError("message truncated reading u64");
-    uint64_t Value = 0;
-    for (int Byte = 0; Byte < 8; ++Byte)
-      Value |= uint64_t(Buffer[Cursor + size_t(Byte)]) << (8 * Byte);
+    const uint64_t Value = loadU64(Cursor);
     Cursor += 8;
     return Value;
   }
@@ -109,20 +134,11 @@ public:
   }
 
   [[nodiscard]] Result<std::vector<double>> readDoubleVector() {
-    Result<uint64_t> Count = readU64();
-    if (!Count)
-      return Count.status();
-    if (Count.value() > (Buffer.size() - Cursor) / 8)
-      return parseError("message truncated reading double vector");
-    std::vector<double> Values;
-    Values.reserve(Count.value());
-    for (uint64_t Index = 0; Index < Count.value(); ++Index) {
-      Result<double> Value = readDouble();
-      if (!Value)
-        return Value.status();
-      Values.push_back(Value.value());
-    }
-    return Values;
+    return readVector<double>();
+  }
+
+  [[nodiscard]] Result<std::vector<int64_t>> readI64Vector() {
+    return readVector<int64_t>();
   }
 
   [[nodiscard]] Result<std::string> readString() {
@@ -141,6 +157,39 @@ public:
   bool atEnd() const { return Cursor == Buffer.size(); }
 
 private:
+  /// The length prefix is checked against the bytes left before anything
+  /// is allocated, so a hostile count fails fast.
+  template <typename T> Result<std::vector<T>> readVector() {
+    static_assert(sizeof(T) == 8);
+    Result<uint64_t> Count = readU64();
+    if (!Count)
+      return Count.status();
+    if (Count.value() > (Buffer.size() - Cursor) / sizeof(T))
+      return parseError("message truncated reading vector");
+    std::vector<T> Values(Count.value());
+    if constexpr (std::endian::native == std::endian::little) {
+      if (!Values.empty())
+        std::memcpy(Values.data(), Buffer.data() + Cursor,
+                    Values.size() * sizeof(T));
+      Cursor += Values.size() * sizeof(T);
+    } else {
+      for (T &Value : Values) {
+        const uint64_t Bits = loadU64(Cursor);
+        std::memcpy(&Value, &Bits, sizeof(Value));
+        Cursor += 8;
+      }
+    }
+    return Values;
+  }
+
+  /// The little-endian u64 at \p Offset; the caller checked the bounds.
+  uint64_t loadU64(size_t Offset) const {
+    uint64_t Value = 0;
+    for (int Byte = 0; Byte < 8; ++Byte)
+      Value |= uint64_t(Buffer[Offset + size_t(Byte)]) << (8 * Byte);
+    return Value;
+  }
+
   const std::vector<uint8_t> &Buffer;
   size_t Cursor = 0;
 };

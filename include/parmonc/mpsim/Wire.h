@@ -12,11 +12,14 @@
 ///   body := kind u8 | a i32 | b i32 | c i32 | payload bytes
 ///
 /// little-endian throughout, CRC-32 (the same polynomial the sealed result
-/// files use) over the body. The decoder is incremental — feed it whatever
-/// a read() returned and ask for complete frames — and rejects corruption
-/// with a clean Status, mirroring the short-read rejection discipline of
-/// ResultsStore: a truncated, bit-flipped or length-lying frame can stall
-/// or fail the stream, but never crash it or yield a partial message.
+/// files use) over the body. The top bit of the kind byte is the
+/// superseding marker of a Data frame (Message::Supersedes); a frame
+/// without it has the same bytes it always had. The decoder is
+/// incremental — feed it whatever a read() returned and ask for complete
+/// frames — and rejects corruption with a clean Status, mirroring the
+/// short-read rejection discipline of ResultsStore: a truncated,
+/// bit-flipped or length-lying frame can stall or fail the stream, but
+/// never crash it or yield a partial message.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,6 +55,8 @@ struct Frame {
   int32_t B = 0;
   int32_t C = 0;
   std::vector<uint8_t> Payload;
+  /// Data only: the message is latest-wins at its destination mailbox.
+  bool Supersedes = false;
 };
 
 /// 'PMNC' in the frame header.

@@ -53,6 +53,9 @@ public:
   /// Raw count of bin \p Index.
   int64_t countOf(size_t Index) const;
 
+  /// Every bin's raw count, in bin order.
+  const std::vector<int64_t> &counts() const { return Counts; }
+
   /// Left edge of bin \p Index.
   double binLeftEdge(size_t Index) const;
 
@@ -76,6 +79,13 @@ public:
   /// Parses the text format back.
   [[nodiscard]] static Result<HistogramEstimator> fromFileContents(
       std::string_view Contents);
+
+  /// Rebuilds a histogram from its raw counts — the one place every
+  /// decoder enforces the invariants: Low < High, at least one bin, and
+  /// no negative count.
+  [[nodiscard]] static Result<HistogramEstimator>
+  fromCounts(double Low, double High, std::vector<int64_t> Counts,
+             int64_t Underflow, int64_t Overflow);
 
   /// Empirical CDF at \p Value (fraction of observations <= Value,
   /// resolved at bin granularity; side bins count as below/above).

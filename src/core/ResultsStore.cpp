@@ -58,22 +58,19 @@ static Result<HistogramEstimator> parseHistogramLine(
   Result<int64_t> Over = parseInt64(Fields[5]);
   if (!Low || !High || !Bins || !Under || !Over)
     return parseError("malformed histogram header in snapshot");
-  if (Low.value() >= High.value() || Bins.value() == 0 ||
-      Under.value() < 0 || Over.value() < 0)
-    return parseError("invalid histogram geometry in snapshot");
   if (Fields.size() != 6 + Bins.value())
     return parseError("histogram count list does not match bin count");
-  // Rebuild via the histogram's own text format so all invariants are
-  // enforced in one place.
-  std::string Text = "range " + std::string(Fields[1]) + " " +
-                     std::string(Fields[2]) + "\n" + "bins " +
-                     std::to_string(Bins.value()) + "\n" + "underflow " +
-                     std::to_string(Under.value()) + "\n" + "overflow " +
-                     std::to_string(Over.value()) + "\ncounts";
-  for (size_t Index = 6; Index < Fields.size(); ++Index)
-    Text += " " + std::string(Fields[Index]);
-  Text += "\n";
-  return HistogramEstimator::fromFileContents(Text);
+  std::vector<int64_t> Counts;
+  Counts.reserve(Bins.value());
+  for (size_t Index = 6; Index < Fields.size(); ++Index) {
+    Result<int64_t> Count = parseInt64(Fields[Index]);
+    if (!Count)
+      return Count.status();
+    Counts.push_back(Count.value());
+  }
+  return HistogramEstimator::fromCounts(Low.value(), High.value(),
+                                        std::move(Counts), Under.value(),
+                                        Over.value());
 }
 
 Result<MomentSnapshot> MomentSnapshot::fromFileContents(
@@ -161,8 +158,15 @@ Result<MomentSnapshot> MomentSnapshot::fromFileContents(
   return Snapshot;
 }
 
+// The message form: a fixed header, the two moment-sum vectors, then
+// per histogram its range, side counts and bin counts — all binary, so
+// encoding and decoding cost about a memcpy of the sums.
 std::vector<uint8_t> MomentSnapshot::toBytes() const {
+  size_t Size = 8 * 8 + 16 * Moments.valueSums().size();
+  for (const HistogramEstimator &Histogram : Histograms)
+    Size += 8 * 5 + 8 * Histogram.binCount();
   ByteWriter Writer;
+  Writer.reserve(Size);
   Writer.writeU64(SequenceNumber);
   Writer.writeU64(Moments.rows());
   Writer.writeU64(Moments.columns());
@@ -171,8 +175,13 @@ std::vector<uint8_t> MomentSnapshot::toBytes() const {
   Writer.writeDoubleVector(Moments.valueSums());
   Writer.writeDoubleVector(Moments.squareSums());
   Writer.writeU64(Histograms.size());
-  for (const HistogramEstimator &Histogram : Histograms)
-    Writer.writeString(Histogram.toFileContents());
+  for (const HistogramEstimator &Histogram : Histograms) {
+    Writer.writeDouble(Histogram.low());
+    Writer.writeDouble(Histogram.high());
+    Writer.writeI64(Histogram.underflowCount());
+    Writer.writeI64(Histogram.overflowCount());
+    Writer.writeI64Vector(Histogram.counts());
+  }
   return Writer.takeBytes();
 }
 
@@ -197,11 +206,18 @@ Result<MomentSnapshot> MomentSnapshot::fromBytes(
     return HistogramCount.status();
   std::vector<HistogramEstimator> Histograms;
   for (uint64_t Index = 0; Index < HistogramCount.value(); ++Index) {
-    Result<std::string> Text = Reader.readString();
-    if (!Text)
-      return Text.status();
-    Result<HistogramEstimator> Histogram =
-        HistogramEstimator::fromFileContents(Text.value());
+    Result<double> Low = Reader.readDouble();
+    Result<double> High = Reader.readDouble();
+    Result<int64_t> Under = Reader.readI64();
+    Result<int64_t> Over = Reader.readI64();
+    if (!Low || !High || !Under || !Over)
+      return parseError("truncated histogram in snapshot message");
+    Result<std::vector<int64_t>> Counts = Reader.readI64Vector();
+    if (!Counts)
+      return Counts.status();
+    Result<HistogramEstimator> Histogram = HistogramEstimator::fromCounts(
+        Low.value(), High.value(), std::move(Counts).value(), Under.value(),
+        Over.value());
     if (!Histogram)
       return Histogram.status();
     Histograms.push_back(std::move(Histogram).value());

@@ -9,8 +9,13 @@
 // sums to rank 0; rank 0 additionally keeps the latest snapshot per rank,
 // merges them with the resumed base by eq. (5), and saves results at
 // save-points. Cumulative (rather than incremental) subtotals make the
-// collector idempotent: a lost or reordered message can only delay
-// freshness, never corrupt the average.
+// collector idempotent: a lost or duplicated message only delays
+// freshness, and only the newest subtotal matters, so subtotals travel
+// latest-wins (Message::Supersedes). A reordered subtotal is the one
+// hazard: released late, it would replace a fresher snapshot. The
+// collector therefore keeps each rank's snapshot monotone — it ignores a
+// subtotal once that rank's final is in, or one whose volume is below the
+// snapshot it would replace.
 //
 //===----------------------------------------------------------------------===//
 
@@ -444,13 +449,20 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
       Entry.Volume = Volume.value();
       return;
     }
+    const size_t Rank = size_t(Incoming.Source);
+    const bool IsFinal = Incoming.Tag == TagFinal;
+    if (!IsFinal && Collector.FinalReceived[Rank])
+      return; // a subtotal released late; the final covers it
     Result<MomentSnapshot> Snapshot =
         MomentSnapshot::fromBytes(Incoming.Payload);
     if (!Snapshot)
       return keepFailure(Snapshot.status());
-    const size_t Rank = size_t(Incoming.Source);
-    Collector.LatestFromRank[Rank] = std::move(Snapshot).value();
-    if (Incoming.Tag == TagFinal && !Collector.FinalReceived[Rank]) {
+    MomentSnapshot &Latest = Collector.LatestFromRank[Rank];
+    const int64_t Volume = Snapshot.value().Moments.sampleVolume();
+    if (!IsFinal && Volume < Latest.Moments.sampleVolume())
+      return; // older than what the collector already holds
+    Latest = std::move(Snapshot).value();
+    if (IsFinal && !Collector.FinalReceived[Rank]) {
       Collector.FinalReceived[Rank] = true;
       --Collector.FinalsOutstanding;
     }
@@ -536,11 +548,10 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
             ShardMsg.writeU32(Written.value().Crc);
             ShardMsg.writeU64(Written.value().Bytes);
             ShardMsg.writeI64(Written.value().Volume);
-            if (Status Sent = Comm.sendReliable(0, TagShardReport,
-                                                ShardMsg.takeBytes(),
-                                                Config.SendMaxAttempts,
-                                                Config.SendRetryBackoffNanos,
-                                                &Time);
+            if (Status Sent = Comm.sendReliable(
+                    0, TagShardReport, ShardMsg.takeBytes(),
+                    Config.SendMaxAttempts, Config.SendRetryBackoffNanos,
+                    &Time, /*Supersedes=*/false);
                 !Sent)
               // Cumulative shards: the next report covers this one.
               Shared.FailedSends.fetch_add(1, std::memory_order_relaxed);
@@ -550,10 +561,13 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
         }
         LastPersistNanos = Now;
       }
+      // Only the newest cumulative subtotal matters, so a subtotal replaces
+      // any of this rank's subtotals still queued at rank 0. Finals and
+      // shard reports are never replaced.
       if (Status Sent = Comm.sendReliable(0, Tag, Local.toBytes(),
                                           Config.SendMaxAttempts,
-                                          Config.SendRetryBackoffNanos,
-                                          &Time);
+                                          Config.SendRetryBackoffNanos, &Time,
+                                          /*Supersedes=*/Tag == TagSubtotal);
           !Sent)
         // The message is gone, but subtotals are cumulative: the next
         // successful send covers everything this one carried.
@@ -708,13 +722,16 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
       // Worker threads hand *cumulative* snapshots to this rank thread
       // through a mailbox — the same MPSC primitive the fabric uses — and
       // only the rank thread talks to the collector, so the §2.2 protocol
-      // is untouched.
+      // is untouched. Partials are cumulative too, so they travel
+      // latest-wins.
       Mailbox IntraRank;
+      IntraRank.countSupersededIn(&Registry);
       WorkerGroup Workers(ThreadsPerRank, [&](int Thread) {
         MomentSnapshot Mine = emptySnapshot(Config);
         (void)realizationLoop(Thread, Mine, [&](int64_t, bool PassDue) {
           if (PassDue)
-            IntraRank.push(Message{Thread, TagSubtotal, Mine.toBytes()});
+            IntraRank.push(Message{Thread, TagSubtotal, Mine.toBytes(),
+                                   /*Supersedes=*/true});
         });
         // Always hand in the final partial — even a zero-quota thread, so
         // the finals accounting below stays exact.

@@ -14,14 +14,26 @@
 namespace parmonc {
 
 void Mailbox::push(Message Incoming) {
+  size_t Superseded = 0;
   {
     std::lock_guard<std::mutex> Lock(Mutex);
     if (Closed)
       return; // the backend is tearing down; nobody will pop this
+    if (Incoming.Supersedes) {
+      const auto Replaced = std::remove_if(
+          Queue.begin(), Queue.end(), [&Incoming](const Message &Queued) {
+            return Queued.Source == Incoming.Source &&
+                   Queued.Tag == Incoming.Tag;
+          });
+      Superseded = size_t(Queue.end() - Replaced);
+      Queue.erase(Replaced, Queue.end());
+    }
     Queue.push_back(std::move(Incoming));
     QueuedCount.store(Queue.size(), std::memory_order_release);
   }
   Available.notify_all();
+  if (Superseded > 0 && Metrics)
+    Metrics->counter("comm.messages_superseded").add(int64_t(Superseded));
 }
 
 std::optional<Message> Mailbox::popMatchingLocked(int Tag) {
@@ -126,6 +138,8 @@ void Fabric::attachMetrics(obs::MetricsRegistry &Registry) {
   SendRetries = &Registry.counter("comm.send_retries");
   SendsFailed = &Registry.counter("comm.sends_failed");
   CollectorQueueDepth = &Registry.gauge("comm.collector_queue_depth");
+  for (std::unique_ptr<Mailbox> &Box : Mailboxes)
+    Box->countSupersededIn(&Registry);
 }
 
 void Fabric::setSendFaultHook(SendFaultHook Hook, const Clock *TimeSource) {
@@ -237,7 +251,8 @@ void Communicator::crashHard() {
 Status FabricCommunicator::sendReliable(int Destination, int Tag,
                                         std::vector<uint8_t> Payload,
                                         int MaxAttempts, int64_t BackoffNanos,
-                                        const Clock *TimeSource) {
+                                        const Clock *TimeSource,
+                                        bool Supersedes) {
   assert(Destination >= 0 && Destination < size() &&
          "destination rank out of range");
   assert(MaxAttempts >= 1 && "need at least one send attempt");
@@ -277,6 +292,7 @@ Status FabricCommunicator::sendReliable(int Destination, int Tag,
   Outgoing.Source = Rank;
   Outgoing.Tag = Tag;
   Outgoing.Payload = std::move(Payload);
+  Outgoing.Supersedes = Supersedes;
   if (Verdict.Act == SendFault::Action::Delay &&
       SharedFabric.faultClock()) {
     SharedFabric.delayMessage(Destination,

@@ -66,6 +66,11 @@ struct DelayedFrame {
   Frame Held;
 };
 
+/// The mailbox message a Data frame carries; takes its payload over.
+Message toMessage(Frame &&Data) {
+  return Message{Data.A, Data.C, std::move(Data.Payload), Data.Supersedes};
+}
+
 /// Serializes the per-worker GOODBYE diagnostics payload.
 std::vector<uint8_t> encodeGoodbye(int64_t FailedSends, int64_t MessagesSent,
                                    int64_t BytesSent) {
@@ -119,8 +124,8 @@ public:
 
   Status sendReliable(int Destination, int Tag,
                       std::vector<uint8_t> Payload, int MaxAttempts,
-                      int64_t BackoffNanos,
-                      const Clock *TimeSource) override {
+                      int64_t BackoffNanos, const Clock *TimeSource,
+                      bool Supersedes) override {
     PARMONC_ASSERT(Destination >= 0 && Destination < RankCount,
                    "destination rank out of range");
     pumpDelayedFrames();
@@ -153,6 +158,7 @@ public:
     Outgoing.B = Destination;
     Outgoing.C = Tag;
     Outgoing.Payload = std::move(Payload);
+    Outgoing.Supersedes = Supersedes;
     if (Verdict.Act == SendFault::Action::Delay && FaultClock) {
       std::lock_guard<std::mutex> Lock(DelayedMutex);
       Delayed.push_back(DelayedFrame{FaultClock->nowNanos() +
@@ -161,8 +167,8 @@ public:
       return Status::ok();
     }
     if (Verdict.Act == SendFault::Action::Duplicate)
-      deliverFrame(Outgoing);
-    deliverFrame(Outgoing);
+      deliverFrame(Frame(Outgoing));
+    deliverFrame(std::move(Outgoing));
     return Status::ok();
   }
 
@@ -235,10 +241,10 @@ public:
   }
 
 private:
-  void deliverFrame(const Frame &Outgoing) {
+  void deliverFrame(Frame Outgoing) {
     if (Outgoing.B == Rank) {
       // Self-delivery never crosses the wire, mirroring the fabric.
-      Inbox.push(Message{Outgoing.A, Outgoing.C, Outgoing.Payload});
+      Inbox.push(toMessage(std::move(Outgoing)));
       return;
     }
     writeFrame(Outgoing);
@@ -261,7 +267,7 @@ private:
       Delayed.erase(FirstDue, Delayed.end());
     }
     for (DelayedFrame &Release : Due)
-      deliverFrame(Release.Held);
+      deliverFrame(std::move(Release.Held));
   }
 
   void writeFrame(const Frame &Outgoing) {
@@ -289,7 +295,7 @@ private:
         }
         if (!Next.value())
           break;
-        dispatch(*Next.value());
+        dispatch(std::move(*Next.value()));
       }
       if (Corrupt)
         break;
@@ -306,10 +312,10 @@ private:
     BarrierCv.notify_all();
   }
 
-  void dispatch(const Frame &Incoming) {
+  void dispatch(Frame &&Incoming) {
     switch (Incoming.Kind) {
     case FrameKind::Data:
-      Inbox.push(Message{Incoming.A, Incoming.C, Incoming.Payload});
+      Inbox.push(toMessage(std::move(Incoming)));
       break;
     case FrameKind::BarrierRelease: {
       {
@@ -471,6 +477,13 @@ struct RouterState {
       releaseBarrierLocked();
   }
 
+  /// Queues a Data frame addressed to rank 0 in its inbox.
+  void deliverToRoot(Frame &&Incoming) {
+    RootInbox.push(toMessage(std::move(Incoming)));
+    if (CollectorQueueDepth)
+      CollectorQueueDepth->set(double(RootInbox.pendingCount()));
+  }
+
   void noteStop(uint8_t ReasonBits) {
     StopBits.fetch_or(ReasonBits, std::memory_order_relaxed);
     StopFlag.store(true, std::memory_order_relaxed);
@@ -497,8 +510,8 @@ public:
 
   Status sendReliable(int Destination, int Tag,
                       std::vector<uint8_t> Payload, int MaxAttempts,
-                      int64_t BackoffNanos,
-                      const Clock *TimeSource) override {
+                      int64_t BackoffNanos, const Clock *TimeSource,
+                      bool Supersedes) override {
     PARMONC_ASSERT(Destination >= 0 && Destination < State.RankCount,
                    "destination rank out of range");
     pumpDelayedFrames();
@@ -536,6 +549,7 @@ public:
     Outgoing.B = Destination;
     Outgoing.C = Tag;
     Outgoing.Payload = std::move(Payload);
+    Outgoing.Supersedes = Supersedes;
     if (Verdict.Act == SendFault::Action::Delay && FaultClock) {
       std::lock_guard<std::mutex> Lock(DelayedMutex);
       Delayed.push_back(DelayedFrame{FaultClock->nowNanos() +
@@ -544,8 +558,8 @@ public:
       return Status::ok();
     }
     if (Verdict.Act == SendFault::Action::Duplicate)
-      deliverFrame(Outgoing);
-    deliverFrame(Outgoing);
+      deliverFrame(Frame(Outgoing));
+    deliverFrame(std::move(Outgoing));
     return Status::ok();
   }
 
@@ -606,13 +620,9 @@ public:
   }
 
 private:
-  void deliverFrame(const Frame &Outgoing) {
+  void deliverFrame(Frame Outgoing) {
     if (Outgoing.B == 0) {
-      State.RootInbox.push(
-          Message{Outgoing.A, Outgoing.C, Outgoing.Payload});
-      if (State.CollectorQueueDepth)
-        State.CollectorQueueDepth->set(
-            double(State.RootInbox.pendingCount()));
+      State.deliverToRoot(std::move(Outgoing));
       return;
     }
     State.writeToRank(Outgoing.B, encodeFrame(Outgoing));
@@ -635,7 +645,7 @@ private:
       Delayed.erase(FirstDue, Delayed.end());
     }
     for (DelayedFrame &Release : Due)
-      deliverFrame(Release.Held);
+      deliverFrame(std::move(Release.Held));
   }
 
   RouterState &State;
@@ -672,7 +682,7 @@ void routerMain(RouterState &State) {
     State.closeChannel(Rank);
   };
 
-  auto dispatch = [&](int Source, const Frame &Incoming) {
+  auto dispatch = [&](int Source, Frame &&Incoming) {
     if (State.FramesRouted)
       State.FramesRouted->add();
     switch (Incoming.Kind) {
@@ -683,15 +693,10 @@ void routerMain(RouterState &State) {
         State.BytesRouted->add(int64_t(Incoming.Payload.size()));
       State.BytesTransferred.fetch_add(Incoming.Payload.size(),
                                        std::memory_order_relaxed);
-      if (Incoming.B == 0) {
-        State.RootInbox.push(
-            Message{Incoming.A, Incoming.C, Incoming.Payload});
-        if (State.CollectorQueueDepth)
-          State.CollectorQueueDepth->set(
-              double(State.RootInbox.pendingCount()));
-      } else {
+      if (Incoming.B == 0)
+        State.deliverToRoot(std::move(Incoming));
+      else
         State.writeToRank(Incoming.B, encodeFrame(Incoming));
-      }
       break;
     case FrameKind::BarrierArrive: {
       std::lock_guard<std::mutex> Lock(State.Mutex);
@@ -778,7 +783,7 @@ void routerMain(RouterState &State) {
         }
         if (!Next.value())
           break;
-        dispatch(Rank, *Next.value());
+        dispatch(Rank, std::move(*Next.value()));
       }
       if (Corrupt)
         handleDeath(Rank);
@@ -806,6 +811,7 @@ runProcessEngine(int RankCount,
         &Options.Metrics->counter("transport.stop_broadcasts");
     State.CollectorQueueDepth =
         &Options.Metrics->gauge("comm.collector_queue_depth");
+    State.RootInbox.countSupersededIn(Options.Metrics);
   }
 
   // One socket pair per worker, all created before the first fork so

@@ -8,7 +8,7 @@
 
 #include "parmonc/support/Checksum.h"
 
-#include <cstring>
+#include <string>
 
 namespace parmonc {
 
@@ -16,10 +16,11 @@ namespace {
 
 constexpr size_t HeaderBytes = 12; // magic + bodyLen + bodyCrc
 constexpr size_t BodyPrefixBytes = 13; // kind + 3 x i32
+constexpr uint8_t SupersedesBit = 0x80; // in the kind byte, Data only
 
-void appendU32(std::vector<uint8_t> &Out, uint32_t Value) {
+void storeU32(uint8_t *Out, uint32_t Value) {
   for (int Byte = 0; Byte < 4; ++Byte)
-    Out.push_back(uint8_t(Value >> (8 * Byte)));
+    Out[Byte] = uint8_t(Value >> (8 * Byte));
 }
 
 uint32_t readU32(const uint8_t *Data) {
@@ -37,23 +38,26 @@ bool knownFrameKind(uint8_t Kind) {
 } // namespace
 
 std::vector<uint8_t> encodeFrame(const Frame &Outgoing) {
-  std::vector<uint8_t> Body;
-  Body.reserve(BodyPrefixBytes + Outgoing.Payload.size());
-  Body.push_back(uint8_t(Outgoing.Kind));
-  appendU32(Body, uint32_t(Outgoing.A));
-  appendU32(Body, uint32_t(Outgoing.B));
-  appendU32(Body, uint32_t(Outgoing.C));
-  Body.insert(Body.end(), Outgoing.Payload.begin(), Outgoing.Payload.end());
-
-  const uint32_t Crc = crc32(std::string_view(
-      reinterpret_cast<const char *>(Body.data()), Body.size()));
-
+  // Header and body go into one buffer; the CRC slot is patched once the
+  // body is in place.
+  const size_t BodyBytes = BodyPrefixBytes + Outgoing.Payload.size();
   std::vector<uint8_t> Encoded;
-  Encoded.reserve(HeaderBytes + Body.size());
-  appendU32(Encoded, FrameMagic);
-  appendU32(Encoded, uint32_t(Body.size()));
-  appendU32(Encoded, Crc);
-  Encoded.insert(Encoded.end(), Body.begin(), Body.end());
+  Encoded.reserve(HeaderBytes + BodyBytes);
+  Encoded.resize(HeaderBytes + BodyPrefixBytes);
+  Encoded.insert(Encoded.end(), Outgoing.Payload.begin(),
+                 Outgoing.Payload.end());
+  uint8_t *Body = Encoded.data() + HeaderBytes;
+  Body[0] = uint8_t(Outgoing.Kind);
+  if (Outgoing.Supersedes && Outgoing.Kind == FrameKind::Data)
+    Body[0] |= SupersedesBit;
+  storeU32(Body + 1, uint32_t(Outgoing.A));
+  storeU32(Body + 5, uint32_t(Outgoing.B));
+  storeU32(Body + 9, uint32_t(Outgoing.C));
+  storeU32(Encoded.data(), FrameMagic);
+  storeU32(Encoded.data() + 4, uint32_t(BodyBytes));
+  storeU32(Encoded.data() + 8,
+           crc32(std::string_view(reinterpret_cast<const char *>(Body),
+                                  BodyBytes)));
   return Encoded;
 }
 
@@ -102,13 +106,17 @@ Result<std::optional<Frame>> FrameDecoder::next() {
                           "transit");
     return Poisoned;
   }
-  if (!knownFrameKind(Body[0])) {
+  const bool Supersedes = (Body[0] & SupersedesBit) != 0;
+  const uint8_t Kind = Body[0] & uint8_t(~SupersedesBit);
+  if (!knownFrameKind(Kind) ||
+      (Supersedes && Kind != uint8_t(FrameKind::Data))) {
     Poisoned = parseError("unknown frame kind " + std::to_string(Body[0]));
     return Poisoned;
   }
 
   Frame Decoded;
-  Decoded.Kind = FrameKind(Body[0]);
+  Decoded.Kind = FrameKind(Kind);
+  Decoded.Supersedes = Supersedes;
   Decoded.A = int32_t(readU32(Body + 1));
   Decoded.B = int32_t(readU32(Body + 5));
   Decoded.C = int32_t(readU32(Body + 9));

@@ -135,8 +135,6 @@ Result<HistogramEstimator> HistogramEstimator::fromFileContents(
         Result<int64_t> Value = parseInt64(Fields[Index]);
         if (!Value)
           return Value.status();
-        if (Value.value() < 0)
-          return parseError("negative histogram count");
         Counts.push_back(Value.value());
       }
       HaveCounts = true;
@@ -148,14 +146,26 @@ Result<HistogramEstimator> HistogramEstimator::fromFileContents(
 
   if (!HaveRange || !HaveBins || !HaveCounts)
     return parseError("histogram file is missing required entries");
-  if (Low >= High)
-    return parseError("histogram range is empty");
-  if (Counts.size() != BinCount || BinCount == 0)
+  if (Counts.size() != BinCount)
     return parseError("histogram count list does not match bin count");
+  return fromCounts(Low, High, std::move(Counts), Underflow, Overflow);
+}
+
+Result<HistogramEstimator>
+HistogramEstimator::fromCounts(double Low, double High,
+                               std::vector<int64_t> Counts, int64_t Underflow,
+                               int64_t Overflow) {
+  if (!(Low < High))
+    return parseError("histogram range is empty");
+  if (Counts.empty())
+    return parseError("histogram has no bins");
   if (Underflow < 0 || Overflow < 0)
     return parseError("negative histogram side counts");
+  for (int64_t Count : Counts)
+    if (Count < 0)
+      return parseError("negative histogram count");
 
-  HistogramEstimator Histogram(Low, High, BinCount);
+  HistogramEstimator Histogram(Low, High, Counts.size());
   Histogram.Counts = std::move(Counts);
   Histogram.Underflow = Underflow;
   Histogram.Overflow = Overflow;

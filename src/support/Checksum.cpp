@@ -17,24 +17,52 @@ namespace {
 
 constexpr std::string_view SealPrefix = "#%parmonc-seal v1 crc32 ";
 
-std::array<uint32_t, 256> makeCrcTable() {
-  std::array<uint32_t, 256> Table{};
+/// Slicing-by-8 tables. Tables[0] is the classic byte-at-a-time table;
+/// Tables[K][I] is the register after byte I is followed by K zero bytes,
+/// so eight lookups advance the register by eight bytes at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables makeCrcTables() {
+  CrcTables Tables{};
   for (uint32_t Index = 0; Index < 256; ++Index) {
     uint32_t Value = Index;
     for (int Bit = 0; Bit < 8; ++Bit)
       Value = (Value >> 1) ^ ((Value & 1u) ? 0xEDB88320u : 0u);
-    Table[Index] = Value;
+    Tables[0][Index] = Value;
   }
-  return Table;
+  for (size_t Slice = 1; Slice < Tables.size(); ++Slice)
+    for (size_t Index = 0; Index < 256; ++Index) {
+      const uint32_t Previous = Tables[Slice - 1][Index];
+      Tables[Slice][Index] = (Previous >> 8) ^ Tables[0][Previous & 0xFFu];
+    }
+  return Tables;
+}
+
+constexpr CrcTables Tables = makeCrcTables();
+
+/// Little-endian 32-bit load at any alignment and on any host byte order;
+/// compilers fold it into one load on little-endian hosts.
+uint32_t loadLittleEndian32(const uint8_t *Data) {
+  return uint32_t(Data[0]) | uint32_t(Data[1]) << 8 |
+         uint32_t(Data[2]) << 16 | uint32_t(Data[3]) << 24;
 }
 
 } // namespace
 
 uint32_t crc32(std::string_view Bytes) {
-  static const std::array<uint32_t, 256> Table = makeCrcTable();
+  const uint8_t *Data = reinterpret_cast<const uint8_t *>(Bytes.data());
+  size_t Left = Bytes.size();
   uint32_t Value = 0xFFFFFFFFu;
-  for (char Byte : Bytes)
-    Value = (Value >> 8) ^ Table[(Value ^ uint8_t(Byte)) & 0xFFu];
+  for (; Left >= 8; Data += 8, Left -= 8) {
+    const uint32_t Low = loadLittleEndian32(Data) ^ Value;
+    const uint32_t High = loadLittleEndian32(Data + 4);
+    Value = Tables[7][Low & 0xFFu] ^ Tables[6][(Low >> 8) & 0xFFu] ^
+            Tables[5][(Low >> 16) & 0xFFu] ^ Tables[4][Low >> 24] ^
+            Tables[3][High & 0xFFu] ^ Tables[2][(High >> 8) & 0xFFu] ^
+            Tables[1][(High >> 16) & 0xFFu] ^ Tables[0][High >> 24];
+  }
+  for (; Left > 0; ++Data, --Left)
+    Value = (Value >> 8) ^ Tables[0][(Value ^ *Data) & 0xFFu];
   return Value ^ 0xFFFFFFFFu;
 }
 

@@ -243,13 +243,25 @@ TEST(ManifestFuzz, MutatedSnapshotBytesErrorButNeverCrash) {
   // The binary mailbox form carries internal length fields, so bit flips
   // here exercise length lies: a vector length claiming more doubles than
   // the buffer holds must fail the bounds check, not read past the end.
+  // The sample's histogram travels in binary too (range, side counts, a
+  // length-prefixed count vector — the message's last 104 bytes): a
+  // quarter of the flips land there, and whatever still decodes must hold
+  // the histogram invariants.
   const std::vector<uint8_t> Good = sampleSnapshot().toBytes();
+  const size_t HistogramBytes = 4 * 8 + 8 + 8 * 8;
+  ASSERT_GT(Good.size(), HistogramBytes);
   SplitMix64 Rng(0x2545f4914f6cdd1dull);
   for (int Round = 0; Round < 4000; ++Round) {
     std::vector<uint8_t> Hostile = Good;
-    switch (Rng.nextBits64() % 3) {
+    switch (Rng.nextBits64() % 4) {
     case 0: {
       const size_t At = Rng.nextBits64() % Hostile.size();
+      Hostile[At] = uint8_t(Hostile[At] ^ (1 << (Rng.nextBits64() % 8)));
+      break;
+    }
+    case 3: {
+      const size_t At = Hostile.size() - 1 -
+                        size_t(Rng.nextBits64() % HistogramBytes);
       Hostile[At] = uint8_t(Hostile[At] ^ (1 << (Rng.nextBits64() % 8)));
       break;
     }
@@ -264,7 +276,16 @@ TEST(ManifestFuzz, MutatedSnapshotBytesErrorButNeverCrash) {
     }
     }
     Result<MomentSnapshot> Out = MomentSnapshot::fromBytes(Hostile);
-    (void)Out;
+    if (!Out)
+      continue;
+    for (const HistogramEstimator &Histogram : Out.value().Histograms) {
+      EXPECT_LT(Histogram.low(), Histogram.high());
+      EXPECT_GT(Histogram.binCount(), 0u);
+      EXPECT_GE(Histogram.underflowCount(), 0);
+      EXPECT_GE(Histogram.overflowCount(), 0);
+      for (int64_t Count : Histogram.counts())
+        EXPECT_GE(Count, 0);
+    }
   }
 }
 

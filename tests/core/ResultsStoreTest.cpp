@@ -6,6 +6,7 @@
 
 #include "parmonc/core/ResultsStore.h"
 
+#include "parmonc/mpsim/Serialize.h"
 #include "parmonc/support/Checksum.h"
 #include "parmonc/support/Text.h"
 
@@ -84,9 +85,92 @@ TEST(MomentSnapshot, RejectsCorruptedFile) {
 }
 
 TEST(MomentSnapshot, RejectsTruncatedBytes) {
-  std::vector<uint8_t> Bytes = makeSnapshot().toBytes();
-  Bytes.resize(Bytes.size() / 2);
-  EXPECT_FALSE(MomentSnapshot::fromBytes(Bytes).isOk());
+  // With a histogram, so every cut — header, sums, histogram fields and
+  // bin counts — is covered.
+  MomentSnapshot Sample = makeSnapshot();
+  Sample.Histograms.emplace_back(0.0, 1.0, 4);
+  Sample.Histograms[0].add(0.3);
+  Sample.Histograms[0].add(1.7);
+  const std::vector<uint8_t> Bytes = Sample.toBytes();
+  ASSERT_TRUE(MomentSnapshot::fromBytes(Bytes).isOk());
+  for (size_t Size = 0; Size < Bytes.size(); ++Size) {
+    const std::vector<uint8_t> Cut(Bytes.begin(),
+                                   Bytes.begin() + std::ptrdiff_t(Size));
+    EXPECT_FALSE(MomentSnapshot::fromBytes(Cut).isOk())
+        << "accepted a message cut to " << Size << " bytes";
+  }
+}
+
+TEST(MomentSnapshot, BytesRoundTripHistogramsExactly) {
+  MomentSnapshot Original = makeSnapshot();
+  Original.Histograms.emplace_back(-0.25, 1.0 / 3.0, 5);
+  for (double Value : {-1.0, 0.0, 0.1, 0.2, 0.3, 9.0})
+    Original.Histograms[0].add(Value);
+  Result<MomentSnapshot> Parsed =
+      MomentSnapshot::fromBytes(Original.toBytes());
+  ASSERT_TRUE(Parsed.isOk()) << Parsed.status().toString();
+  ASSERT_EQ(Parsed.value().Histograms.size(), 1u);
+  const HistogramEstimator &Histogram = Parsed.value().Histograms[0];
+  EXPECT_EQ(Histogram.low(), -0.25);
+  EXPECT_EQ(Histogram.high(), 1.0 / 3.0);
+  EXPECT_EQ(Histogram.counts(), Original.Histograms[0].counts());
+  EXPECT_EQ(Histogram.underflowCount(), 1);
+  EXPECT_EQ(Histogram.overflowCount(), 1);
+  EXPECT_EQ(Histogram.totalCount(), 6);
+}
+
+/// A 1x1 snapshot message whose one histogram is written field by field,
+/// so each case can break exactly one invariant. \p DeclaredBins is the
+/// bin-count prefix; \p Counts the bin counts actually written after it.
+std::vector<uint8_t> histogramMessage(double Low, double High,
+                                      int64_t Underflow,
+                                      uint64_t DeclaredBins,
+                                      const std::vector<int64_t> &Counts) {
+  ByteWriter Writer;
+  Writer.writeU64(7); // sequence number
+  Writer.writeU64(1); // rows
+  Writer.writeU64(1); // columns
+  Writer.writeI64(1); // volume
+  Writer.writeDouble(0.5); // compute seconds
+  Writer.writeDoubleVector({1.0});
+  Writer.writeDoubleVector({1.0});
+  Writer.writeU64(1); // histogram count
+  Writer.writeDouble(Low);
+  Writer.writeDouble(High);
+  Writer.writeI64(Underflow);
+  Writer.writeI64(0); // overflow
+  Writer.writeU64(DeclaredBins);
+  for (int64_t Count : Counts)
+    Writer.writeI64(Count);
+  return Writer.takeBytes();
+}
+
+TEST(MomentSnapshot, BinaryHistogramDecodeEnforcesTheInvariants) {
+  ASSERT_TRUE(
+      MomentSnapshot::fromBytes(histogramMessage(0.0, 1.0, 0, 2, {1, 0}))
+          .isOk());
+  // No bins.
+  EXPECT_FALSE(
+      MomentSnapshot::fromBytes(histogramMessage(0.0, 1.0, 0, 0, {})).isOk());
+  // Empty and inverted ranges.
+  EXPECT_FALSE(
+      MomentSnapshot::fromBytes(histogramMessage(1.0, 1.0, 0, 2, {1, 0}))
+          .isOk());
+  EXPECT_FALSE(
+      MomentSnapshot::fromBytes(histogramMessage(2.0, 1.0, 0, 2, {1, 0}))
+          .isOk());
+  // Negative bin and side counts.
+  EXPECT_FALSE(
+      MomentSnapshot::fromBytes(histogramMessage(0.0, 1.0, 0, 2, {1, -1}))
+          .isOk());
+  EXPECT_FALSE(
+      MomentSnapshot::fromBytes(histogramMessage(0.0, 1.0, -1, 2, {1, 0}))
+          .isOk());
+  // More bins declared than bytes left: rejected before allocating 2^61
+  // counts.
+  EXPECT_FALSE(MomentSnapshot::fromBytes(
+                   histogramMessage(0.0, 1.0, 0, uint64_t(1) << 61, {1, 0}))
+                   .isOk());
 }
 
 TEST(MomentSnapshot, RejectsTrailingBytes) {

@@ -4,12 +4,15 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Because workers send *cumulative* moment sums, an unreliable network can
-// only delay the collector's view, never corrupt it: each fault class —
-// drop, duplicate, delay, failed send — must leave the final results
-// byte-identical to a run over a perfect network, as long as the final
-// snapshots get through (the exempt tag models connection teardown being
-// reliable). The fault counters prove the faults actually happened.
+// Because workers send *cumulative* moment sums, a lost or duplicated
+// message only delays the collector's view. A reordered one is different:
+// a subtotal delayed past its rank's final would roll the collector back,
+// which is why the collector keeps each rank's snapshot monotone. With
+// that rule every fault class — drop, duplicate, delay, failed send —
+// must leave the final results byte-identical to a run over a perfect
+// network, as long as the final snapshots get through (the exempt tag
+// models connection teardown being reliable). The fault counters prove
+// the faults actually happened.
 //
 //===----------------------------------------------------------------------===//
 
@@ -114,8 +117,8 @@ TEST(MessageFault, DuplicatedSubtotalsAreIdempotent) {
 
 TEST(MessageFault, DelayedSubtotalsOnlyDelayFreshness) {
   // Under the frozen clock a delayed message is never released — the
-  // harshest possible delay — yet the final (exempt) snapshots still carry
-  // the complete cumulative sums.
+  // harshest possible delay for freshness — yet the final (exempt)
+  // snapshots still carry the complete cumulative sums.
   ScratchDir Clean("delay_ref"), Faulted("delay");
   std::string CleanMeans, FaultedMeans;
   runLossy(Clean.path(), nullptr, &CleanMeans);
@@ -129,6 +132,47 @@ TEST(MessageFault, DelayedSubtotalsOnlyDelayFreshness) {
   EXPECT_GT(counterOf(FaultedReport, "fault.msgs_delayed"), 0);
   EXPECT_EQ(FaultedReport.TotalSampleVolume, 120);
   EXPECT_EQ(FaultedMeans, CleanMeans);
+}
+
+TEST(MessageFault, DelayedSubtotalReleasedAfterFinalCannotRollBack) {
+  // On a live clock delayed subtotals are released, and some land after
+  // their rank's final has reached the collector. Such a stale subtotal
+  // must not replace the final: every seed must still deliver the full
+  // volume and the clean run's means, and must not be flagged degraded.
+  auto configFor = [](const std::string &WorkDir) {
+    RunConfig Config = lossyConfig(WorkDir);
+    Config.MaxSampleVolume = 3000;
+    return Config;
+  };
+  ScratchDir Clean("late_ref");
+  Result<RunReport> CleanReport =
+      runSimulation(uniformRealization, configFor(Clean.path()));
+  ASSERT_TRUE(CleanReport.isOk()) << CleanReport.status().toString();
+  const std::string CleanMeans =
+      readFileToString(ResultsStore(Clean.path()).meansPath())
+          .valueOr("<missing>");
+
+  int64_t Delayed = 0;
+  for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
+    ScratchDir Faulted("late_" + std::to_string(Seed));
+    fault::FaultPlan Plan;
+    Plan.Seed = Seed;
+    Plan.DelayProbability = 0.5;
+    Plan.DelayNanos = 2'000'000;
+    Plan.ExemptTags = {TagFinal};
+    RunConfig Config = configFor(Faulted.path());
+    Config.Faults = &Plan;
+    Result<RunReport> Report = runSimulation(uniformRealization, Config);
+    ASSERT_TRUE(Report.isOk()) << Report.status().toString();
+    Delayed += counterOf(Report.value(), "fault.msgs_delayed");
+    EXPECT_EQ(Report.value().TotalSampleVolume, 3000) << "seed " << Seed;
+    EXPECT_FALSE(Report.value().Degraded) << "seed " << Seed;
+    EXPECT_EQ(readFileToString(ResultsStore(Faulted.path()).meansPath())
+                  .valueOr("<missing>"),
+              CleanMeans)
+        << "seed " << Seed;
+  }
+  EXPECT_GT(Delayed, 0);
 }
 
 TEST(MessageFault, FailedSendsAreRetriedThenSurvivedDegraded) {

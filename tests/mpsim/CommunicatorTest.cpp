@@ -215,6 +215,123 @@ TEST(Mailbox, SpinningConsumerSeesEveryMessageOnceInProducerOrder) {
   EXPECT_FALSE(Box.tryPop().has_value());
 }
 
+/// Tags standing in for the engine's cumulative subtotal and final.
+constexpr int Subtotal = 1;
+constexpr int Final = 2;
+
+Message superseding(int Source, int Tag, uint8_t Value) {
+  return Message{Source, Tag, bytesOf({Value}), /*Supersedes=*/true};
+}
+
+int64_t supersededCount(const obs::MetricsRegistry &Registry) {
+  const obs::MetricsSnapshot Snapshot = Registry.snapshot();
+  const int64_t *Value = Snapshot.counterValue("comm.messages_superseded");
+  return Value ? *Value : -1; // -1: never registered
+}
+
+TEST(Mailbox, SupersedingPushesFromOneSourceLeaveOnlyTheLast) {
+  obs::MetricsRegistry Registry;
+  Mailbox Box;
+  Box.countSupersededIn(&Registry);
+  for (uint8_t Value = 1; Value <= 5; ++Value)
+    Box.push(superseding(3, Subtotal, Value));
+  EXPECT_EQ(Box.pendingCount(), 1u);
+  std::optional<Message> Latest = Box.tryPop();
+  ASSERT_TRUE(Latest);
+  EXPECT_EQ(Latest->Source, 3);
+  EXPECT_EQ(Latest->Payload, bytesOf({5}));
+  EXPECT_EQ(supersededCount(Registry), 4);
+  // The lock-free empty poll still sees an exact, empty queue.
+  EXPECT_EQ(Box.pendingCount(), 0u);
+  EXPECT_FALSE(Box.tryPop().has_value());
+}
+
+TEST(Mailbox, SupersedingKeepsOtherSourcesTagsAndUnmarkedMessagesInOrder) {
+  Mailbox Box;
+  Box.push(superseding(0, Subtotal, 1));
+  Box.push(superseding(1, Subtotal, 2));
+  Box.push({0, 5, bytesOf({3})});
+  Box.push({0, 5, bytesOf({4})}); // unmarked: replaces nothing
+  Box.push(superseding(0, Subtotal, 6));
+  EXPECT_EQ(Box.pendingCount(), 4u);
+  // Source 0's subtotal moved to the back; every other message kept its
+  // place.
+  const std::vector<std::pair<int, uint8_t>> Expected = {
+      {1, 2}, {0, 3}, {0, 4}, {0, 6}};
+  for (const auto &[Source, Value] : Expected) {
+    std::optional<Message> Next = Box.tryPop();
+    ASSERT_TRUE(Next);
+    EXPECT_EQ(Next->Source, Source);
+    EXPECT_EQ(Next->Payload, bytesOf({Value}));
+  }
+  EXPECT_EQ(Box.pendingCount(), 0u);
+}
+
+TEST(Mailbox, SupersedingNeverReplacesAFinal) {
+  Mailbox Box;
+  Box.push(superseding(2, Subtotal, 1));
+  Box.push({2, Final, bytesOf({2})});
+  Box.push(superseding(2, Subtotal, 3)); // released late, after the final
+  EXPECT_EQ(Box.pendingCount(), 2u);
+  std::optional<Message> First = Box.tryPop();
+  std::optional<Message> Second = Box.tryPop();
+  ASSERT_TRUE(First && Second);
+  EXPECT_EQ(First->Tag, Final);
+  EXPECT_EQ(First->Payload, bytesOf({2}));
+  EXPECT_EQ(Second->Tag, Subtotal);
+  EXPECT_EQ(Second->Payload, bytesOf({3}));
+}
+
+TEST(Mailbox, SupersededCounterRegistersAtTheFirstRemovalOnly) {
+  obs::MetricsRegistry Registry;
+  Mailbox Box;
+  Box.countSupersededIn(&Registry);
+  Box.push(superseding(0, Subtotal, 1)); // nothing queued to replace
+  Box.push({0, Subtotal, bytesOf({2})});
+  ASSERT_TRUE(Box.tryPop() && Box.tryPop());
+  EXPECT_EQ(supersededCount(Registry), -1);
+  Box.push({0, Subtotal, bytesOf({3})});
+  Box.push(superseding(0, Subtotal, 4)); // replaces the unmarked one
+  EXPECT_EQ(supersededCount(Registry), 1);
+}
+
+TEST(Mailbox, SpinningConsumerOfSupersedingProducersSeesEachSourceAdvance) {
+  // Racing superseding producers: the consumer may miss values (that is
+  // the point), but never sees one source go backwards, and always ends
+  // on each source's last value.
+  constexpr int Producers = 4;
+  constexpr int PerProducer = 2000;
+  Mailbox Box;
+  std::vector<std::thread> Threads;
+  for (int Producer = 0; Producer < Producers; ++Producer)
+    Threads.emplace_back([&Box, Producer] {
+      for (int Sequence = 1; Sequence <= PerProducer; ++Sequence)
+        Box.push(Message{Producer, Subtotal,
+                         bytesOf({uint8_t(Sequence & 0xff),
+                                  uint8_t((Sequence >> 8) & 0xff)}),
+                         /*Supersedes=*/true});
+    });
+  std::vector<int> Last(Producers, 0);
+  bool Advancing = true;
+  while (Advancing && Last != std::vector<int>(Producers, PerProducer)) {
+    std::optional<Message> Incoming = Box.tryPop();
+    if (!Incoming)
+      continue;
+    const int Sequence = Incoming->Payload[0] | (Incoming->Payload[1] << 8);
+    Advancing = Incoming->Source >= 0 && Incoming->Source < Producers &&
+                Sequence > Last[size_t(Incoming->Source)];
+    EXPECT_TRUE(Advancing) << "message " << Sequence << " from producer "
+                           << Incoming->Source << " went backwards";
+    if (Advancing)
+      Last[size_t(Incoming->Source)] = Sequence;
+  }
+  for (std::thread &Thread : Threads)
+    Thread.join();
+  EXPECT_EQ(Last, std::vector<int>(Producers, PerProducer));
+  EXPECT_EQ(Box.pendingCount(), 0u);
+  EXPECT_FALSE(Box.tryPop().has_value());
+}
+
 TEST(Fabric, TracksBytesTransferred) {
   Fabric Net(2);
   FabricCommunicator Sender(Net, 1);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 namespace parmonc {
@@ -75,6 +76,72 @@ TEST(Serialize, DoubleVectorRoundTrip) {
   ASSERT_TRUE(Read.isOk());
   EXPECT_EQ(Read.value(), Values);
   EXPECT_TRUE(Reader.atEnd());
+}
+
+/// The bit pattern of \p Value, so NaN payloads and signed zeros compare.
+uint64_t bitsOf(double Value) {
+  uint64_t Bits;
+  std::memcpy(&Bits, &Value, sizeof(Bits));
+  return Bits;
+}
+
+double fromBits(uint64_t Bits) {
+  double Value;
+  std::memcpy(&Value, &Bits, sizeof(Value));
+  return Value;
+}
+
+TEST(Serialize, BulkDoubleVectorRoundTripsEveryBitPattern) {
+  // The vector moves as one memcpy on little-endian hosts: NaN payloads,
+  // signed zeros and subnormals must come back bit for bit.
+  const std::vector<double> Values = {
+      fromBits(0x7ff8000000000123ull), // quiet NaN with a payload
+      fromBits(0x7ff0000000000001ull), // signaling NaN
+      fromBits(0xfff8dead0000beefull), // negative NaN with a payload
+      -0.0,
+      0.0,
+      std::numeric_limits<double>::denorm_min(),
+      fromBits(0x000fffffffffffffull), // largest subnormal
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::max(),
+      1.0};
+  ByteWriter Writer;
+  Writer.writeDoubleVector(Values);
+  ASSERT_EQ(Writer.bytes().size(), 8 + 8 * Values.size());
+  // Element k sits little-endian right after the count, whatever the host.
+  for (size_t Index = 0; Index < Values.size(); ++Index)
+    for (size_t Byte = 0; Byte < 8; ++Byte)
+      EXPECT_EQ(Writer.bytes()[8 + 8 * Index + Byte],
+                uint8_t(bitsOf(Values[Index]) >> (8 * Byte)))
+          << "element " << Index << " byte " << Byte;
+  ByteReader Reader(Writer.bytes());
+  Result<std::vector<double>> Read = Reader.readDoubleVector();
+  ASSERT_TRUE(Read.isOk());
+  ASSERT_EQ(Read.value().size(), Values.size());
+  for (size_t Index = 0; Index < Values.size(); ++Index)
+    EXPECT_EQ(bitsOf(Read.value()[Index]), bitsOf(Values[Index]))
+        << "element " << Index;
+  EXPECT_TRUE(Reader.atEnd());
+}
+
+TEST(Serialize, I64VectorRoundTripsAndRejectsHostileLength) {
+  const std::vector<int64_t> Values = {0, -1, 42,
+                                       std::numeric_limits<int64_t>::min(),
+                                       std::numeric_limits<int64_t>::max()};
+  ByteWriter Writer;
+  Writer.writeI64Vector(Values);
+  ByteReader Reader(Writer.bytes());
+  Result<std::vector<int64_t>> Read = Reader.readI64Vector();
+  ASSERT_TRUE(Read.isOk());
+  EXPECT_EQ(Read.value(), Values);
+  EXPECT_TRUE(Reader.atEnd());
+
+  ByteWriter Hostile;
+  Hostile.writeU64(uint64_t(1) << 61); // must fail fast, not allocate
+  Hostile.writeI64(1);
+  ByteReader HostileReader(Hostile.bytes());
+  EXPECT_FALSE(HostileReader.readI64Vector().isOk());
 }
 
 TEST(Serialize, EmptyVectorRoundTrip) {

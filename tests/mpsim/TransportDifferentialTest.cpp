@@ -29,9 +29,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <string>
+#include <thread>
 
 namespace parmonc {
 namespace {
@@ -267,6 +269,36 @@ TEST(TransportDifferential, LossyNetworkRunIsByteIdentical) {
   expectIdenticalReports(Oracle, Wire);
   expectIdenticalTrees(snapshotTree(Threads.path()),
                        snapshotTree(Processes.path()));
+}
+
+TEST(TransportDifferential, CoalescedSubtotalsUnderASlowCollectorMatch) {
+  // Rank 0 stalls in its first save-points while the workers send a
+  // subtotal after every realization, so subtotals pile up at the
+  // collector and supersede one another. Latest-wins delivery must not
+  // change a byte, and the counter proves it actually coalesced.
+  const auto Shape = [](RunConfig &Config) {
+    Config.MaxSampleVolume = 300;
+    Config.AveragePeriodNanos = 0; // a save-point at every collector poll
+    Config.OnSavePoint = [](const RunProgress &Progress) {
+      if (Progress.SavePointCount <= 3)
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    };
+  };
+  ScratchDir Threads("coalesce_thr"), Processes("coalesce_proc");
+  const RunReport Oracle = runGolden(Threads.path(), TransportKind::Threads,
+                                     uniformRealization, Shape);
+  const RunReport Wire = runGolden(Processes.path(),
+                                   TransportKind::Processes,
+                                   uniformRealization, Shape);
+
+  EXPECT_EQ(Wire.TotalSampleVolume, 300);
+  expectIdenticalReports(Oracle, Wire);
+  expectIdenticalTrees(snapshotTree(Threads.path()),
+                       snapshotTree(Processes.path()));
+  const int64_t *Superseded =
+      Wire.Metrics.counterValue("comm.messages_superseded");
+  ASSERT_NE(Superseded, nullptr);
+  EXPECT_GT(*Superseded, 0);
 }
 
 TEST(TransportDifferential, ProcessRunsAreRunToRunDeterministic) {

@@ -230,6 +230,50 @@ TEST(Wire, UnknownFrameKindIsRejected) {
             std::string::npos);
 }
 
+TEST(Wire, SupersedingMarkerRoundTripsOnDataFrames) {
+  Frame Outgoing;
+  Outgoing.Kind = FrameKind::Data;
+  Outgoing.A = 2;
+  Outgoing.C = 1;
+  Outgoing.Payload = {7, 8, 9};
+  const std::vector<uint8_t> Plain = encodeFrame(Outgoing);
+  EXPECT_EQ(Plain[12], uint8_t(FrameKind::Data)); // unmarked: old bytes
+  Outgoing.Supersedes = true;
+  const std::vector<uint8_t> Marked = encodeFrame(Outgoing);
+  EXPECT_EQ(Marked[12], uint8_t(0x80 | uint8_t(FrameKind::Data)));
+
+  FrameDecoder Decoder;
+  Decoder.feed(Plain.data(), Plain.size());
+  Decoder.feed(Marked.data(), Marked.size());
+  for (const bool Expected : {false, true}) {
+    Result<std::optional<Frame>> Next = Decoder.next();
+    ASSERT_TRUE(Next) << Next.status().message();
+    ASSERT_TRUE(Next.value());
+    EXPECT_EQ(Next.value()->Kind, FrameKind::Data);
+    EXPECT_EQ(Next.value()->Supersedes, Expected);
+    EXPECT_TRUE(sameFrame(*Next.value(), Outgoing));
+  }
+}
+
+TEST(Wire, SupersedingMarkerOnAControlFrameIsRejected) {
+  // The marker means something only to a mailbox; on any other kind it
+  // is a corrupt kind byte, even under an honest CRC.
+  Frame Stop;
+  Stop.Kind = FrameKind::Stop;
+  Stop.Supersedes = true; // ignored by the encoder on non-Data frames
+  std::vector<uint8_t> Encoded = encodeFrame(Stop);
+  EXPECT_EQ(Encoded[12], uint8_t(FrameKind::Stop));
+  Encoded[12] |= 0x80;
+  const uint32_t HonestCrc = crc32(std::string_view(
+      reinterpret_cast<const char *>(Encoded.data() + 12),
+      Encoded.size() - 12));
+  for (int Byte = 0; Byte < 4; ++Byte)
+    Encoded[size_t(8 + Byte)] = uint8_t(HonestCrc >> (8 * Byte));
+  FrameDecoder Decoder;
+  Decoder.feed(Encoded.data(), Encoded.size());
+  EXPECT_FALSE(Decoder.next());
+}
+
 TEST(Wire, DecoderReclaimsConsumedBuffer) {
   Frame Outgoing;
   Outgoing.Kind = FrameKind::Data;
