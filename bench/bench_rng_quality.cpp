@@ -15,6 +15,7 @@
 #include "parmonc/rng/Baselines.h"
 #include "parmonc/rng/Lcg128.h"
 #include "parmonc/rng/LcgPow2.h"
+#include "parmonc/rng/Philox.h"
 #include "parmonc/rng/StreamHierarchy.h"
 #include "parmonc/statest/Tests.h"
 
@@ -65,7 +66,7 @@ int main() {
       {"splitmix64", [] { return std::make_unique<SplitMix64>(7); }},
       {"xoshiro256**",
        [] { return std::make_unique<Xoshiro256StarStar>(7); }},
-      {"philox4x32-10", [] { return std::make_unique<Philox4x32>(7); }},
+      {"philox", [] { return std::make_unique<Philox>(7); }},
       {"mcg64", [] { return std::make_unique<Mcg64>(7); }},
       {"randu (control)", [] { return std::make_unique<Randu>(1); }},
       {"lcg40 low bits (control)",

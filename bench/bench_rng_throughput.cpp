@@ -13,6 +13,7 @@
 #include "parmonc/rng/Baselines.h"
 #include "parmonc/rng/Lcg128.h"
 #include "parmonc/rng/LcgPow2.h"
+#include "parmonc/rng/Philox.h"
 #include "parmonc/rng/StreamHierarchy.h"
 
 #include "benchmark/benchmark.h"
@@ -118,15 +119,15 @@ void BM_Xoshiro256_Uniform(benchmark::State &State) {
 }
 BENCHMARK(BM_Xoshiro256_Uniform);
 
-void BM_Philox4x32_Uniform(benchmark::State &State) {
-  Philox4x32 Generator(1);
+void BM_Philox_Uniform(benchmark::State &State) {
+  Philox Generator(1);
   double Sink = 0.0;
   for (auto _ : State)
     Sink += Generator.nextUniform();
   benchmark::DoNotOptimize(Sink);
   State.SetItemsProcessed(State.iterations());
 }
-BENCHMARK(BM_Philox4x32_Uniform);
+BENCHMARK(BM_Philox_Uniform);
 
 void BM_Mcg64_Uniform(benchmark::State &State) {
   Mcg64 Generator(1);

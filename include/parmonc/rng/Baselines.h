@@ -11,13 +11,13 @@
 ///
 ///  - SplitMix64        — fast 64-bit mixing generator (speed baseline),
 ///  - Xoshiro256**      — modern general-purpose generator,
-///  - Philox4x32-10     — counter-based generator (Random123 family),
 ///  - Mcg64             — 64-bit multiplicative congruential (Knuth M_61'),
 ///  - Randu             — IBM's infamous RANDU; *deliberately bad*, used as
 ///                        the negative control in the statistical-quality
 ///                        bench and tests.
 ///
 /// All implement RandomSource so workloads and tests are generator-blind.
+/// The counter-based comparator is the production `Philox` (Philox.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -82,33 +82,6 @@ private:
   }
 
   uint64_t State[4];
-};
-
-/// Philox4x32 with 10 rounds (Salmon et al., Random123). Counter-based:
-/// each block of four 32-bit outputs is a keyed bijection of a 128-bit
-/// counter, so leaping is free — the natural modern comparator for the
-/// paper's leap-ahead design.
-class Philox4x32 final : public RandomSource {
-public:
-  explicit Philox4x32(uint64_t Key = 0xdeadbeefcafebabeull);
-
-  uint64_t nextBits64() override;
-
-  double nextUniform() override { return bitsToUnitOpen(nextBits64()); }
-
-  const char *name() const override { return "philox4x32-10"; }
-
-  /// Jumps the counter to block \p BlockIndex; the next output is word 0 of
-  /// that block.
-  void seekToBlock(uint64_t BlockIndex);
-
-private:
-  void generateBlock();
-
-  uint32_t Counter[4] = {0, 0, 0, 0};
-  uint32_t Key[2];
-  uint32_t Block[4] = {0, 0, 0, 0};
-  unsigned NextWord = 4; ///< 4 == block exhausted, generate on next call.
 };
 
 /// 64-bit multiplicative congruential generator modulo 2^64 with the

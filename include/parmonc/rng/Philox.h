@@ -22,9 +22,10 @@
 /// partitioning math and the validation story (full statest battery;
 /// the exact lattice spectral test is LCG-specific and does not apply).
 ///
-/// Distinct from the bench-only `Philox4x32` baseline in Baselines.h:
-/// this class carries the full 128-bit position, the hierarchy mapping,
-/// and the batched fill path, and is meant for production use.
+/// The block function below is the library's one scalar Philox round
+/// loop: `Philox::computeBlock` and the edge blocks of the wide fill
+/// kernel (rng/SimdKernels.h) both call it, and it is the differential
+/// oracle the vector rounds are tested against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +37,42 @@
 #include "parmonc/rng/StreamHierarchy.h"
 
 namespace parmonc {
+
+/// Philox4x32-10 round constants (Salmon et al., SC'11, the Random123
+/// reference), shared by the scalar block function and the vector rounds.
+namespace philox {
+inline constexpr uint32_t MultiplierA = 0xD2511F53u;
+inline constexpr uint32_t MultiplierB = 0xCD9E8D57u;
+inline constexpr uint32_t KeyBumpA = 0x9E3779B9u; // golden ratio
+inline constexpr uint32_t KeyBumpB = 0xBB67AE85u; // sqrt(3) - 1
+inline constexpr unsigned Rounds = 10;
+
+/// Bijects the 128-bit counter \p Block under key (\p KeyLo, \p KeyHi)
+/// through the ten rounds into its two 64-bit draws: Draws[0] = X1:X0,
+/// Draws[1] = X3:X2. Always inlined, so no out-of-line copy is emitted
+/// from the SIMD kernel TU, whose ISA flags other objects must not pick
+/// up.
+[[gnu::always_inline]] inline void block(UInt128 Block, uint32_t KeyLo,
+                                         uint32_t KeyHi, uint64_t *Draws) {
+  uint32_t X0 = uint32_t(Block.low());
+  uint32_t X1 = uint32_t(Block.low() >> 32);
+  uint32_t X2 = uint32_t(Block.high());
+  uint32_t X3 = uint32_t(Block.high() >> 32);
+  uint32_t K0 = KeyLo, K1 = KeyHi;
+  for (unsigned Round = 0; Round < Rounds; ++Round) {
+    const uint64_t ProductA = uint64_t(MultiplierA) * X0;
+    const uint64_t ProductB = uint64_t(MultiplierB) * X2;
+    X0 = uint32_t(ProductB >> 32) ^ X1 ^ K0;
+    X1 = uint32_t(ProductB);
+    X2 = uint32_t(ProductA >> 32) ^ X3 ^ K1;
+    X3 = uint32_t(ProductA);
+    K0 += KeyBumpA;
+    K1 += KeyBumpB;
+  }
+  Draws[0] = (uint64_t(X1) << 32) | X0;
+  Draws[1] = (uint64_t(X3) << 32) | X2;
+}
+} // namespace philox
 
 /// Counter-based generator: Philox4x32-10 over a 128-bit block counter.
 /// Each 128-bit counter value is bijected through ten keyed rounds into
@@ -73,8 +110,9 @@ public:
   uint64_t nextBits64() override;
 
   /// Batched generation, bit-equal to \p Count nextBits64()-backed
-  /// nextUniform() calls: whole blocks are expanded straight into \p Out,
-  /// with scalar draws only at the unaligned edges.
+  /// nextUniform() calls: whole blocks go through the wide kernel
+  /// (rngsimd::philoxFillWide), with scalar draws only at the unaligned
+  /// edges — or every draw, on a CPU that cannot run the kernel TU.
   void fillUniforms(double *Out, size_t Count) override;
 
   const char *name() const override { return "philox"; }

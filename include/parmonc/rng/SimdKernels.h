@@ -35,6 +35,15 @@
 /// for these paths, the same way `mul128Portable` oracles the `__int128`
 /// fast path.
 ///
+/// The same TU carries the multi-block Philox4x32-10 kernel behind
+/// `Philox::fillUniforms`. A Philox block depends only on its own counter,
+/// so sixteen consecutive blocks run as independent vector lanes (two zmm
+/// groups of eight, or four ymm groups of four); each 32-bit counter word
+/// sits in its own 64-bit lane so one vpmuludq yields both halves of a
+/// round's product. Its oracle is the scalar block function
+/// `philox::block` (rng/Philox.h), which the kernel also runs for the
+/// rare sixteen-block group whose low counter word carries.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PARMONC_RNG_SIMDKERNELS_H
@@ -96,6 +105,14 @@ void fillBatchBits64Wide(UInt128 &State, UInt128 Multiplier, uint64_t *Out,
 void fillBlockLeapWide(UInt128 &State, UInt128 Multiplier, double *Out,
                        size_t BlockCount, size_t DrawsPerBlock,
                        UInt128 LeapMultiplier);
+
+/// Philox4x32-10 over the \p BlockCount consecutive counter blocks
+/// FirstBlock, FirstBlock+1, ... (mod 2^128) under the key
+/// (\p KeyLo, \p KeyHi): writes each block's two draws, mapped by
+/// bitsToUnitOpen, to \p Out[0..2·BlockCount) in block order — bit-equal
+/// to `philox::block` per block.
+void philoxFillWide(UInt128 FirstBlock, uint32_t KeyLo, uint32_t KeyHi,
+                    double *Out, size_t BlockCount);
 
 } // namespace rngsimd
 } // namespace parmonc

@@ -31,8 +31,17 @@
 
 namespace parmonc {
 
-/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of \p Bytes.
+/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of \p Bytes. On x86 hosts
+/// whose CPU has PCLMULQDQ (probed once per process), inputs of 64 bytes
+/// or more are folded with carry-less multiplies; everything else, and
+/// every `PARMONC_SIMD=SCALAR` build, runs crc32Portable. Both give
+/// identical values.
 uint32_t crc32(std::string_view Bytes);
+
+/// Slicing-by-8 CRC-32: the portable path of crc32 and the differential
+/// oracle its carry-less-multiply fold is tested against, the way
+/// `mul128Portable` oracles the `__int128` multiply.
+uint32_t crc32Portable(std::string_view Bytes);
 
 /// Prepends the seal line for \p Body and returns the sealed file contents.
 std::string sealFileContents(std::string_view Body);

@@ -14,71 +14,4 @@ Xoshiro256StarStar::Xoshiro256StarStar(uint64_t Seed) {
     Word = Seeder.nextBits64();
 }
 
-Philox4x32::Philox4x32(uint64_t KeySeed) {
-  Key[0] = uint32_t(KeySeed);
-  Key[1] = uint32_t(KeySeed >> 32);
-}
-
-static uint32_t mulHi32(uint32_t A, uint32_t B) {
-  return uint32_t((uint64_t(A) * uint64_t(B)) >> 32);
-}
-
-void Philox4x32::generateBlock() {
-  // Round constants from Salmon et al., SC'11.
-  constexpr uint32_t MultiplierA = 0xD2511F53u;
-  constexpr uint32_t MultiplierB = 0xCD9E8D57u;
-  constexpr uint32_t KeyBumpA = 0x9E3779B9u; // golden ratio
-  constexpr uint32_t KeyBumpB = 0xBB67AE85u; // sqrt(3) - 1
-
-  uint32_t X0 = Counter[0], X1 = Counter[1], X2 = Counter[2], X3 = Counter[3];
-  uint32_t K0 = Key[0], K1 = Key[1];
-  for (unsigned Round = 0; Round < 10; ++Round) {
-    const uint32_t HighA = mulHi32(MultiplierA, X0);
-    const uint32_t LowA = MultiplierA * X0;
-    const uint32_t HighB = mulHi32(MultiplierB, X2);
-    const uint32_t LowB = MultiplierB * X2;
-    const uint32_t Y0 = HighB ^ X1 ^ K0;
-    const uint32_t Y1 = LowB;
-    const uint32_t Y2 = HighA ^ X3 ^ K1;
-    const uint32_t Y3 = LowA;
-    X0 = Y0;
-    X1 = Y1;
-    X2 = Y2;
-    X3 = Y3;
-    K0 += KeyBumpA;
-    K1 += KeyBumpB;
-  }
-  Block[0] = X0;
-  Block[1] = X1;
-  Block[2] = X2;
-  Block[3] = X3;
-
-  // 128-bit counter increment.
-  for (uint32_t &Word : Counter) {
-    if (++Word != 0)
-      break;
-  }
-  NextWord = 0;
-}
-
-uint64_t Philox4x32::nextBits64() {
-  if (NextWord >= 3) {
-    // Fewer than two words left; discard the remainder and refill so every
-    // 64-bit output comes from one block.
-    generateBlock();
-  }
-  uint64_t Low = Block[NextWord];
-  uint64_t High = Block[NextWord + 1];
-  NextWord += 2;
-  return (High << 32) | Low;
-}
-
-void Philox4x32::seekToBlock(uint64_t BlockIndex) {
-  Counter[0] = uint32_t(BlockIndex);
-  Counter[1] = uint32_t(BlockIndex >> 32);
-  Counter[2] = 0;
-  Counter[3] = 0;
-  NextWord = 4;
-}
-
 } // namespace parmonc

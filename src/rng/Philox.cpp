@@ -6,6 +6,7 @@
 
 #include "parmonc/rng/Philox.h"
 
+#include "parmonc/rng/SimdKernels.h"
 #include "parmonc/support/Contract.h"
 
 #include <algorithm>
@@ -14,38 +15,17 @@ namespace parmonc {
 
 namespace {
 
-inline uint32_t mulHi32(uint32_t A, uint32_t B) {
-  return uint32_t((uint64_t(A) * uint64_t(B)) >> 32);
+/// True when the wide kernel TU is executable on this CPU; probed once.
+/// When false, fillUniforms draws one at a time.
+bool wideKernelEngaged() {
+  static const bool Engaged = rngsimd::runtimeSupportsCompiledBackend();
+  return Engaged;
 }
 
 } // namespace
 
 void Philox::computeBlock(UInt128 BlockIndex) {
-  // Round constants from Salmon et al., SC'11 (the Random123 reference).
-  constexpr uint32_t MultiplierA = 0xD2511F53u;
-  constexpr uint32_t MultiplierB = 0xCD9E8D57u;
-  constexpr uint32_t KeyBumpA = 0x9E3779B9u; // golden ratio
-  constexpr uint32_t KeyBumpB = 0xBB67AE85u; // sqrt(3) - 1
-
-  uint32_t X0 = uint32_t(BlockIndex.low());
-  uint32_t X1 = uint32_t(BlockIndex.low() >> 32);
-  uint32_t X2 = uint32_t(BlockIndex.high());
-  uint32_t X3 = uint32_t(BlockIndex.high() >> 32);
-  uint32_t K0 = KeyLo, K1 = KeyHi;
-  for (unsigned Round = 0; Round < 10; ++Round) {
-    const uint32_t HighA = mulHi32(MultiplierA, X0);
-    const uint32_t LowA = MultiplierA * X0;
-    const uint32_t HighB = mulHi32(MultiplierB, X2);
-    const uint32_t LowB = MultiplierB * X2;
-    X0 = HighB ^ X1 ^ K0;
-    X1 = LowB;
-    X2 = HighA ^ X3 ^ K1;
-    X3 = LowA;
-    K0 += KeyBumpA;
-    K1 += KeyBumpB;
-  }
-  Cached[0] = (uint64_t(X1) << 32) | X0;
-  Cached[1] = (uint64_t(X3) << 32) | X2;
+  philox::block(BlockIndex, KeyLo, KeyHi, Cached);
   CachedBlock = BlockIndex;
   CacheValid = true;
 }
@@ -61,17 +41,26 @@ uint64_t Philox::nextBits64() {
 
 void Philox::fillUniforms(double *Out, size_t Count) {
   size_t Index = 0;
-  // Enter at a block boundary: at most one scalar draw.
-  while (Index < Count && (Position.low() & 1) != 0)
-    Out[Index++] = nextUniform();
-  // Whole blocks straight into the output. The block function is the same
-  // bijection the scalar path runs, so the stream is bit-identical.
-  while (Index + DrawsPerBlock <= Count) {
-    computeBlock(Position >> 1);
-    Out[Index + 0] = bitsToUnitOpen(Cached[0]);
-    Out[Index + 1] = bitsToUnitOpen(Cached[1]);
-    Position += UInt128(DrawsPerBlock);
-    Index += DrawsPerBlock;
+  if (wideKernelEngaged()) {
+    // Enter at a block boundary: at most one scalar draw.
+    if (Count > 0 && (Position.low() & 1) != 0)
+      Out[Index++] = nextUniform();
+    // Whole blocks straight into the output; the kernel runs the same
+    // bijection per counter, so the stream is bit-identical.
+    size_t Blocks = (Count - Index) / DrawsPerBlock;
+    while (Blocks > 0) {
+      // The draw position wraps mod 2^128, so the block index wraps at
+      // 2^127; a kernel call never crosses that wrap.
+      const UInt128 First = Position >> 1;
+      const UInt128 UntilWrap = UInt128::powerOfTwo(127) - First;
+      const size_t Run = UntilWrap < UInt128(Blocks)
+                             ? size_t(UntilWrap.low())
+                             : Blocks;
+      rngsimd::philoxFillWide(First, KeyLo, KeyHi, Out + Index, Run);
+      Position += UInt128(Run * DrawsPerBlock);
+      Index += Run * DrawsPerBlock;
+      Blocks -= Run;
+    }
   }
   while (Index < Count)
     Out[Index++] = nextUniform();

@@ -26,8 +26,10 @@
 
 #include "parmonc/rng/SimdKernels.h"
 
+#include "parmonc/rng/Philox.h"
 #include "parmonc/rng/RandomSource.h"
 
+#include <algorithm>
 #include <array>
 
 #if !defined(PARMONC_SIMD_FORCE_SCALAR) && defined(__AVX512F__) &&             \
@@ -110,6 +112,48 @@ inline void serialTailBits64(UInt128 &State, UInt128 Multiplier,
   for (; Index < Count; ++Index) {
     State = State * Multiplier;
     Out[Index] = State.high();
+  }
+}
+
+/// Philox blocks per wide group: sixteen independent counters, split into
+/// register groups by each vector backend.
+constexpr size_t PhiloxGroupBlocks = 16;
+
+/// Philox blocks through the shared scalar block function: the SCALAR
+/// backend's whole kernel and the vector backends' carry groups.
+inline void philoxScalarBlocks(UInt128 Block, uint32_t KeyLo, uint32_t KeyHi,
+                               double *Out, size_t Count) {
+  uint64_t Draws[Philox::DrawsPerBlock];
+  for (size_t Index = 0; Index < Count; ++Index) {
+    philox::block(Block + UInt128(Index), KeyLo, KeyHi, Draws);
+    Out[2 * Index] = bitsToUnitOpen(Draws[0]);
+    Out[2 * Index + 1] = bitsToUnitOpen(Draws[1]);
+  }
+}
+
+/// The vector backends' Philox group loop. \p Group(Block, Out) writes the
+/// draws of the sixteen blocks Block..Block+15 to Out[0..32), holding the
+/// low counter word as lane offsets from a broadcast base; a group whose
+/// low word would carry into the next one runs the scalar blocks instead.
+/// A short last group goes through a scratch buffer.
+template <typename GroupFn>
+inline void philoxFillGroups(UInt128 Block, uint32_t KeyLo, uint32_t KeyHi,
+                             double *Out, size_t BlockCount, GroupFn Group) {
+  constexpr uint32_t LastCarryFree = ~uint32_t(0) - (PhiloxGroupBlocks - 1);
+  alignas(64) double Scratch[2 * PhiloxGroupBlocks];
+  for (size_t Done = 0; Done < BlockCount;) {
+    const size_t Take = std::min(PhiloxGroupBlocks, BlockCount - Done);
+    double *Dest = Out + 2 * Done;
+    if (uint32_t(Block.low()) > LastCarryFree) {
+      philoxScalarBlocks(Block, KeyLo, KeyHi, Dest, Take);
+    } else if (Take == PhiloxGroupBlocks) {
+      Group(Block, Dest);
+    } else {
+      Group(Block, Scratch);
+      std::copy(Scratch, Scratch + 2 * Take, Dest);
+    }
+    Block += UInt128(Take);
+    Done += Take;
   }
 }
 
@@ -313,6 +357,101 @@ void fillBlockLeapWide(UInt128 &State, UInt128 Multiplier, double *Out,
   }
 }
 
+namespace {
+
+/// A 32-bit word in the low half of each 64-bit lane.
+inline __m256i broadcastWord4(uint32_t Word) {
+  return _mm256_set1_epi64x(static_cast<long long>(Word));
+}
+
+/// The per-round Philox keys of one call, broadcast once.
+struct PhiloxKeys4 {
+  __m256i K0[philox::Rounds];
+  __m256i K1[philox::Rounds];
+};
+
+PhiloxKeys4 broadcastPhiloxKeys(uint32_t KeyLo, uint32_t KeyHi) {
+  PhiloxKeys4 Keys;
+  for (unsigned Round = 0; Round < philox::Rounds; ++Round) {
+    Keys.K0[Round] = broadcastWord4(KeyLo);
+    Keys.K1[Round] = broadcastWord4(KeyHi);
+    KeyLo += philox::KeyBumpA;
+    KeyHi += philox::KeyBumpB;
+  }
+  return Keys;
+}
+
+/// Four Philox blocks, one 32-bit counter word per 64-bit lane. Only the
+/// low halves are meaningful: vpmuludq reads just those, so the stale
+/// upper halves the round leaves behind never reach an output.
+struct PhiloxLanes4 {
+  __m256i X0, X1, X2, X3;
+};
+
+inline void philoxRound4(PhiloxLanes4 &X, __m256i K0, __m256i K1,
+                         __m256i MultA, __m256i MultB) {
+  const __m256i ProductA = _mm256_mul_epu32(X.X0, MultA);
+  const __m256i ProductB = _mm256_mul_epu32(X.X2, MultB);
+  const __m256i HighA = _mm256_srli_epi64(ProductA, 32);
+  const __m256i HighB = _mm256_srli_epi64(ProductB, 32);
+  X.X0 = _mm256_xor_si256(_mm256_xor_si256(HighB, X.X1), K0);
+  X.X1 = ProductB;
+  X.X2 = _mm256_xor_si256(_mm256_xor_si256(HighA, X.X3), K1);
+  X.X3 = ProductA;
+}
+
+/// The 64-bit draws High:Low from two lanes' low 32-bit words.
+inline __m256i joinWords4(__m256i Low, __m256i High) {
+  const __m256i Low32 = _mm256_set1_epi64x(static_cast<long long>(Mask32));
+  return _mm256_or_si256(_mm256_slli_epi64(High, 32),
+                         _mm256_and_si256(Low, Low32));
+}
+
+/// Maps each block's two draws X1:X0 and X3:X2 to the unit interval and
+/// stores them in block order.
+inline void storePhiloxDraws4(const PhiloxLanes4 &X, double *Out) {
+  const __m256d First = toUnitOpen4(joinWords4(X.X0, X.X1));
+  const __m256d Second = toUnitOpen4(joinWords4(X.X2, X.X3));
+  const __m256d Even = _mm256_unpacklo_pd(First, Second); // blocks 0, 2
+  const __m256d Odd = _mm256_unpackhi_pd(First, Second);  // blocks 1, 3
+  _mm256_storeu_pd(Out, _mm256_permute2f128_pd(Even, Odd, 0x20));
+  _mm256_storeu_pd(Out + 4, _mm256_permute2f128_pd(Even, Odd, 0x31));
+}
+
+/// Sixteen blocks as four independent ymm groups, so one group's
+/// multiply latency overlaps the others' rounds.
+inline void philoxGroup16(UInt128 Block, const PhiloxKeys4 &Keys,
+                          double *Out) {
+  const __m256i MultA = broadcastWord4(philox::MultiplierA);
+  const __m256i MultB = broadcastWord4(philox::MultiplierB);
+  const __m256i Word1 = broadcastWord4(uint32_t(Block.low() >> 32));
+  const __m256i Word2 = broadcastWord4(uint32_t(Block.high()));
+  const __m256i Word3 = broadcastWord4(uint32_t(Block.high() >> 32));
+  __m256i Counter = _mm256_add_epi64(broadcastWord4(uint32_t(Block.low())),
+                                     _mm256_setr_epi64x(0, 1, 2, 3));
+  PhiloxLanes4 Lanes[4];
+  for (PhiloxLanes4 &Group : Lanes) {
+    Group = {Counter, Word1, Word2, Word3};
+    Counter = _mm256_add_epi64(Counter, broadcastWord4(4));
+  }
+  for (unsigned Round = 0; Round < philox::Rounds; ++Round)
+    for (PhiloxLanes4 &Group : Lanes)
+      philoxRound4(Group, Keys.K0[Round], Keys.K1[Round], MultA, MultB);
+  for (int G = 0; G < 4; ++G)
+    storePhiloxDraws4(Lanes[G], Out + 8 * G);
+}
+
+} // namespace
+
+void philoxFillWide(UInt128 FirstBlock, uint32_t KeyLo, uint32_t KeyHi,
+                    double *Out, size_t BlockCount) {
+  const PhiloxKeys4 Keys = broadcastPhiloxKeys(KeyLo, KeyHi);
+  philoxFillGroups(FirstBlock, KeyLo, KeyHi, Out, BlockCount,
+                   [&Keys](UInt128 Block, double *Dest) {
+                     philoxGroup16(Block, Keys, Dest);
+                   });
+}
+
 #elif defined(PARMONC_SIMD_BACKEND_AVX512)
 
 namespace {
@@ -496,6 +635,104 @@ void fillBlockLeapWide(UInt128 &State, UInt128 Multiplier, double *Out,
   }
 }
 
+namespace {
+
+/// A 32-bit word in the low half of each 64-bit lane.
+inline __m512i broadcastWord8(uint32_t Word) {
+  return _mm512_set1_epi64(static_cast<long long>(Word));
+}
+
+/// The per-round Philox keys of one call, broadcast once.
+struct PhiloxKeys8 {
+  __m512i K0[philox::Rounds];
+  __m512i K1[philox::Rounds];
+};
+
+PhiloxKeys8 broadcastPhiloxKeys(uint32_t KeyLo, uint32_t KeyHi) {
+  PhiloxKeys8 Keys;
+  for (unsigned Round = 0; Round < philox::Rounds; ++Round) {
+    Keys.K0[Round] = broadcastWord8(KeyLo);
+    Keys.K1[Round] = broadcastWord8(KeyHi);
+    KeyLo += philox::KeyBumpA;
+    KeyHi += philox::KeyBumpB;
+  }
+  return Keys;
+}
+
+/// Eight Philox blocks, one 32-bit counter word per 64-bit lane. Only the
+/// low halves are meaningful: vpmuludq reads just those, so the stale
+/// upper halves the round leaves behind never reach an output.
+struct PhiloxLanes8 {
+  __m512i X0, X1, X2, X3;
+};
+
+/// 0x96 is the truth table of a three-way XOR for vpternlogq.
+constexpr int Xor3 = 0x96;
+
+inline void philoxRound8(PhiloxLanes8 &X, __m512i K0, __m512i K1,
+                         __m512i MultA, __m512i MultB) {
+  const __m512i ProductA = _mm512_mul_epu32(X.X0, MultA);
+  const __m512i ProductB = _mm512_mul_epu32(X.X2, MultB);
+  const __m512i HighA = _mm512_srli_epi64(ProductA, 32);
+  const __m512i HighB = _mm512_srli_epi64(ProductB, 32);
+  X.X0 = _mm512_ternarylogic_epi64(HighB, X.X1, K0, Xor3);
+  X.X1 = ProductB;
+  X.X2 = _mm512_ternarylogic_epi64(HighA, X.X3, K1, Xor3);
+  X.X3 = ProductA;
+}
+
+/// The 64-bit draws High:Low from two lanes' low 32-bit words.
+inline __m512i joinWords8(__m512i Low, __m512i High) {
+  const __m512i Low32 = _mm512_set1_epi64(static_cast<long long>(Mask32));
+  return _mm512_or_si512(_mm512_slli_epi64(High, 32),
+                         _mm512_and_si512(Low, Low32));
+}
+
+/// Maps each block's two draws X1:X0 and X3:X2 to the unit interval and
+/// stores them in block order.
+inline void storePhiloxDraws8(const PhiloxLanes8 &X, double *Out) {
+  const __m512d First = toUnitOpen8(joinWords8(X.X0, X.X1));
+  const __m512d Second = toUnitOpen8(joinWords8(X.X2, X.X3));
+  // Lane j of First/Second holds block j's first/second draw.
+  const __m512i Blocks0To3 = _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11);
+  const __m512i Blocks4To7 = _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15);
+  _mm512_storeu_pd(Out, _mm512_permutex2var_pd(First, Blocks0To3, Second));
+  _mm512_storeu_pd(Out + 8, _mm512_permutex2var_pd(First, Blocks4To7, Second));
+}
+
+/// Sixteen blocks as two independent zmm groups of eight.
+inline void philoxGroup16(UInt128 Block, const PhiloxKeys8 &Keys,
+                          double *Out) {
+  const __m512i MultA = broadcastWord8(philox::MultiplierA);
+  const __m512i MultB = broadcastWord8(philox::MultiplierB);
+  const __m512i Word1 = broadcastWord8(uint32_t(Block.low() >> 32));
+  const __m512i Word2 = broadcastWord8(uint32_t(Block.high()));
+  const __m512i Word3 = broadcastWord8(uint32_t(Block.high() >> 32));
+  const __m512i CounterA =
+      _mm512_add_epi64(broadcastWord8(uint32_t(Block.low())),
+                       _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
+  const __m512i CounterB = _mm512_add_epi64(CounterA, broadcastWord8(8));
+  PhiloxLanes8 A = {CounterA, Word1, Word2, Word3};
+  PhiloxLanes8 B = {CounterB, Word1, Word2, Word3};
+  for (unsigned Round = 0; Round < philox::Rounds; ++Round) {
+    philoxRound8(A, Keys.K0[Round], Keys.K1[Round], MultA, MultB);
+    philoxRound8(B, Keys.K0[Round], Keys.K1[Round], MultA, MultB);
+  }
+  storePhiloxDraws8(A, Out);
+  storePhiloxDraws8(B, Out + 16);
+}
+
+} // namespace
+
+void philoxFillWide(UInt128 FirstBlock, uint32_t KeyLo, uint32_t KeyHi,
+                    double *Out, size_t BlockCount) {
+  const PhiloxKeys8 Keys = broadcastPhiloxKeys(KeyLo, KeyHi);
+  philoxFillGroups(FirstBlock, KeyLo, KeyHi, Out, BlockCount,
+                   [&Keys](UInt128 Block, double *Dest) {
+                     philoxGroup16(Block, Keys, Dest);
+                   });
+}
+
 #else // PARMONC_SIMD_BACKEND_SCALAR
 
 void fillBatchWide(UInt128 &State, UInt128 Multiplier, double *Out,
@@ -569,6 +806,11 @@ void fillBlockLeapWide(UInt128 &State, UInt128 Multiplier, double *Out,
     }
     State = State * LeapMultiplier;
   }
+}
+
+void philoxFillWide(UInt128 FirstBlock, uint32_t KeyLo, uint32_t KeyHi,
+                    double *Out, size_t BlockCount) {
+  philoxScalarBlocks(FirstBlock, KeyLo, KeyHi, Out, BlockCount);
 }
 
 #endif // backend selection

@@ -144,9 +144,6 @@ TEST(Philox, StreamForHonorsTheKey) {
 TEST(Philox, ReportsItsName) {
   Philox Stream;
   EXPECT_STREQ(Stream.name(), "philox");
-  // The production backend is distinct from the bench-only baseline
-  // ("philox4x32-10" in Baselines.h).
-  EXPECT_STRNE(Stream.name(), "philox4x32-10");
 }
 
 TEST(Philox, BehavesAsRandomSource) {

@@ -87,10 +87,6 @@ TEST(Battery, ModernBaselinesPass) {
     EXPECT_TRUE(allPass(runBattery(Generator, Sample)));
   }
   {
-    Philox4x32 Generator(42);
-    EXPECT_TRUE(allPass(runBattery(Generator, Sample)));
-  }
-  {
     SplitMix64 Generator(42);
     EXPECT_TRUE(allPass(runBattery(Generator, Sample)));
   }

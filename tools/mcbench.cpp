@@ -49,6 +49,7 @@
 #include "parmonc/rng/Philox.h"
 #include "parmonc/rng/SimdKernels.h"
 #include "parmonc/rng/StreamHierarchy.h"
+#include "parmonc/support/Checksum.h"
 #include "parmonc/support/Clock.h"
 #include "parmonc/support/Text.h"
 
@@ -180,10 +181,12 @@ RngNumbers runRngSuite(uint64_t Draws) {
     Checksum ^= uint64_t(Sink * 4096.0) ^ Generator.state().high();
   }
 
-  // In-bench bit-equality oracle: the dispatched batch path must emit the
-  // four-lane kernel's exact bytes and final state at an awkward length.
-  // Reported as "simd_bit_equal" so a checked-in BENCH_rng.json certifies
-  // the speedup was measured on a correct kernel.
+  // In-bench bit-equality oracle, reported as "simd_bit_equal" so a
+  // checked-in BENCH_rng.json certifies the speedups were measured on
+  // correct kernels. At awkward lengths: the dispatched LCG batch path
+  // must emit the four-lane kernel's exact bytes and final state, the
+  // dispatched Philox fill must emit the scalar block function's draws,
+  // and the dispatched crc32 must equal its slicing-by-8 oracle.
   {
     constexpr size_t Count = 4096 + 17;
     Lcg128 Dispatched;
@@ -191,9 +194,29 @@ RngNumbers runRngSuite(uint64_t Draws) {
     std::vector<double> Got(Count), Want(Count);
     Dispatched.fillBatch(Got.data(), Count);
     Oracle.fillBatchFourLane(Want.data(), Count);
-    Numbers.SimdBitEqual =
+    const bool LcgEqual =
         std::memcmp(Got.data(), Want.data(), Count * sizeof(double)) == 0 &&
         Dispatched.state() == Oracle.state();
+
+    constexpr uint64_t Key = 0x853c49e6748fea9bull;
+    Philox Filled(Key);
+    Filled.fillUniforms(Got.data(), Count);
+    for (size_t Index = 0; Index < Count; ++Index) {
+      uint64_t Draws[Philox::DrawsPerBlock];
+      philox::block(UInt128(Index / 2), uint32_t(Key), uint32_t(Key >> 32),
+                    Draws);
+      Want[Index] = bitsToUnitOpen(Draws[Index % 2]);
+    }
+    const bool PhiloxEqual =
+        std::memcmp(Got.data(), Want.data(), Count * sizeof(double)) == 0 &&
+        Filled.position() == UInt128(Count);
+
+    std::string Frame(32 * 1024 + 13, '\0');
+    for (size_t Index = 0; Index < Frame.size(); ++Index)
+      Frame[Index] = char(Index * 131 + (Index >> 8));
+    const bool CrcEqual = crc32(Frame) == crc32Portable(Frame);
+
+    Numbers.SimdBitEqual = LcgEqual && PhiloxEqual && CrcEqual;
   }
 
   {
