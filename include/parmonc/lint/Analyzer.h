@@ -7,10 +7,10 @@
 /// \file
 /// The driver behind the mclint tool. One run is a pipeline:
 ///
-///   collect files -> lex / extract facts (cache-aware) -> build the
-///   project index and cross-file context -> per-file rules (cache-aware)
-///   -> project-wide rules (R9) -> central waiver filtering -> stale-waiver
-///   synthesis (R10) -> baseline filtering -> sorted diagnostics.
+///   collect files -> lex / extract facts -> build the project index,
+///   cross-file context and function summaries -> per-file rules ->
+///   project-wide rules (R9) -> central waiver filtering -> stale-waiver
+///   synthesis (R10) -> sorted diagnostics.
 ///
 /// Waivers are applied here, centrally, rather than inside each rule: the
 /// analyzer is the only place that can know a waiver suppressed nothing
@@ -39,44 +39,28 @@ struct AnalyzerOptions {
   /// .h/.hpp/.cpp/.cc/.cxx files. Build trees (build*/), dot directories
   /// and lint fixture trees (fixtures/) are skipped — fixtures are full
   /// of deliberate violations and are linted by naming them as a root.
+  /// A file reached under several spellings is analyzed once.
   std::vector<std::string> Paths;
 
-  /// Rule ids or names to run ("R1".."R13", "stream-discipline");
+  /// Rule ids or names to run ("R1".."R16", "stream-discipline");
   /// empty means all rules.
   std::vector<std::string> RuleIds;
 
-  /// Incremental cache file (`--cache=<file>`); empty disables caching.
-  std::string CachePath;
-
-  /// Baseline to subtract from the findings (`--baseline=<file>`).
-  std::string BaselinePath;
-
   /// Compute autofixes (R4, R10) and attach them to the diagnostics.
-  /// Bypasses cached diagnostics (cached entries carry no fix data).
   bool ComputeFixes = false;
-
-  /// Worker threads for the per-file passes (`--jobs=N`); 0 and 1 both
-  /// mean serial. Only the embarrassingly parallel per-file work fans
-  /// out; index construction, project rules, filtering and output order
-  /// are unchanged, so results are byte-identical at any job count.
-  unsigned Jobs = 1;
 };
 
 /// Outcome of one analyzer run.
 struct LintReport {
   std::vector<Diagnostic> Diagnostics;
-  size_t FileCount = 0;    ///< Source files scanned.
-  size_t CacheHits = 0;    ///< Files whose diagnostics came from the cache.
-  size_t CacheMisses = 0;  ///< Files analyzed from scratch.
-  size_t BaselineSuppressed = 0; ///< Findings subtracted by the baseline.
-  /// The raw text of the line each diagnostic points at, for baseline
-  /// writing and SARIF fingerprints; parallel to Diagnostics.
+  size_t FileCount = 0; ///< Source files scanned.
+  /// The raw text of the line each diagnostic points at, for SARIF
+  /// fingerprints; parallel to Diagnostics.
   std::vector<std::string> DiagnosticLineText;
 };
 
 /// Runs the analyzer. Fails (as a Status) only on environmental errors —
-/// unknown rule id, unreadable path, malformed baseline; rule findings
-/// are data, not errors.
+/// unknown rule id, unreadable path; rule findings are data, not errors.
 [[nodiscard]] Result<LintReport> runAnalyzer(const AnalyzerOptions &Options);
 
 /// Applies the FixIts attached to \p Diags to the files on disk, editing

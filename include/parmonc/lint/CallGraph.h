@@ -65,10 +65,6 @@ public:
   /// so visiting the list front to back sees callees before callers.
   std::vector<std::vector<uint32_t>> sccsBottomUp() const;
 
-  /// Every node reachable from \p Roots along call edges, roots included
-  /// (unresolved root names are skipped). Sorted.
-  std::vector<uint32_t> reachableFrom(const std::vector<uint32_t> &Roots) const;
-
 private:
   std::vector<std::string> Names;
   std::map<std::string, uint32_t, std::less<>> NodeByName;

@@ -104,14 +104,6 @@ std::vector<uint32_t> reversePostorder(const FunctionCfg &Cfg);
 std::vector<uint32_t> shortestBlockPath(const FunctionCfg &Cfg, uint32_t From,
                                         uint32_t To);
 
-/// A stable fingerprint of the graph shapes in \p Cfgs (function names,
-/// block/statement counts, edge lists). Stored in the per-file facts so
-/// the incremental cache key covers the CFG stage: any change to the
-/// builder that alters a graph invalidates cached dataflow diagnostics
-/// through the config stamp, and the shape crc makes drift observable per
-/// file.
-uint32_t cfgShapeCrc(const std::vector<FunctionCfg> &Cfgs);
-
 } // namespace lint
 } // namespace parmonc
 

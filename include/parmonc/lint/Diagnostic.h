@@ -67,7 +67,7 @@ struct Diagnostic {
 
   std::string Path;   ///< File path as given to the analyzer.
   unsigned Line = 0;  ///< 1-based line number.
-  std::string RuleId; ///< "R1".."R13".
+  std::string RuleId; ///< "R1".."R16".
   std::string RuleName; ///< e.g. "discarded-status".
   std::string Message;  ///< Human-readable explanation.
   std::vector<FixIt> Fixes; ///< Optional autofix (R4, R10).

@@ -7,9 +7,7 @@
 /// \file
 /// The middle stage of the mclint pipeline: per-file facts extracted from
 /// the token stream in one pass over every TU, and the project-wide index
-/// the interprocedural rules consult. Facts are deliberately small and
-/// serializable — the incremental cache stores them keyed by file content
-/// hash, so an unchanged file is never re-lexed.
+/// the interprocedural rules consult.
 ///
 /// What the facts capture:
 ///   - the include list (for R4 and the R9 include-cycle/layering checks),
@@ -28,7 +26,6 @@
 
 #include "parmonc/lint/SourceFile.h"
 #include "parmonc/lint/Summary.h"
-#include "parmonc/support/Status.h"
 
 #include <cstdint>
 #include <map>
@@ -59,8 +56,8 @@ struct IncludeRecord {
   bool Quoted = false; ///< "..." rather than <...>.
 };
 
-/// Everything the project index knows about one file. Extracted from the
-/// token stream; cheap to serialize for the incremental cache.
+/// Everything the project index knows about one file, extracted from the
+/// token stream.
 struct FileFacts {
   std::vector<IncludeRecord> Includes;
   /// Functions this file declares [[nodiscard]].
@@ -84,14 +81,8 @@ struct FileFacts {
   std::vector<Waiver> Waivers;
   /// Per-function interprocedural evidence (call sites, taint sources,
   /// lock operations, field writes — see Summary.h), in source order. The
-  /// call-graph/summary stage runs entirely off this, so warm runs rebuild
-  /// every summary from cached facts without re-lexing.
+  /// call-graph/summary stage runs entirely off this.
   std::vector<FunctionEvidence> Functions;
-  /// Structural fingerprint of the file's function CFGs (cfgShapeCrc).
-  /// Stored in the facts so the incremental cache observes the CFG stage:
-  /// a builder change that reshapes any graph changes the serialized facts
-  /// and therefore the cached dataflow diagnostics' validity.
-  uint32_t CfgShapeCrc = 0;
 };
 
 /// Extracts facts from one lexed file.
@@ -101,13 +92,6 @@ FileFacts extractFileFacts(const SourceFile &File);
 /// FileFacts::DefinedFunctions), for rules that need the caller's own
 /// definition set without a full index entry.
 std::vector<std::string> definedFunctions(const SourceFile &File);
-
-/// Serializes facts to a line-oriented text block (for the cache).
-std::string serializeFileFacts(const FileFacts &Facts);
-
-/// Parses a serialized facts block. Returns an error on malformed input
-/// (a corrupt cache entry is discarded, not trusted).
-[[nodiscard]] Result<FileFacts> parseFileFacts(std::string_view Block);
 
 /// The project-wide index: facts for every scanned file, path-addressable.
 class ProjectIndex {
@@ -156,8 +140,7 @@ struct LintContext {
   bool FlowRulesActive = false;
   /// The project-wide function summaries (null when the interprocedural
   /// stage did not run). The interprocedural rules (R14-R16) consult this
-  /// to follow call chains across translation units; the per-file
-  /// dependency fingerprint derived from it keys their cached findings.
+  /// to follow call chains across translation units.
   const SummaryStore *Summaries = nullptr;
   /// The call graph the summaries were propagated over (null with
   /// Summaries). Used to reconstruct cross-file witness paths.

@@ -138,12 +138,9 @@ public:
     (void)Out;
   }
 
-  /// True when every diagnostic this rule emits depends only on the file
-  /// it names plus the LintContext (whose fingerprint is part of the
-  /// incremental cache key); such diagnostics are safe to reuse from the
-  /// cache when both the content hash and the context hash match. False
-  /// for rules that walk the whole project index (R9) or are synthesized
-  /// by the analyzer (R10).
+  /// True when the rule checks one file at a time through check(). False
+  /// for rules that walk the whole project index through checkProject()
+  /// (R9) or are synthesized by the analyzer (R10).
   virtual bool isPerFile() const { return true; }
 };
 

@@ -94,8 +94,7 @@ public:
 
   /// Control-flow graphs of every function defined in this file, built
   /// lazily on first use and cached. Only the flow-sensitive rules pay for
-  /// CFG construction; token-level rules never touch it. Not synchronized:
-  /// each file is analyzed by exactly one worker at a time.
+  /// CFG construction; token-level rules never touch it.
   const std::vector<FunctionCfg> &functions() const;
 
   /// True when \p RuleId is waived on 0-based line \p Index (line waiver,

@@ -13,15 +13,9 @@
 /// in one file can carry a witness path whose steps span the files its
 /// call chain crosses.
 ///
-/// Evidence is deliberately token-level and serializable: it rides inside
-/// the per-file facts in the incremental cache (format v5), so a warm run
-/// rebuilds every summary from cached evidence without re-lexing a single
-/// file. Summaries themselves are recomputed each run — propagation over
-/// the call graph is pure graph work, cheap once lexing is skipped — and
-/// each summary folds to a fingerprint; the per-file dependency
-/// fingerprint (the fold of every summary a file's calls can transitively
-/// reach) keys cached diagnostics, so editing one leaf TU invalidates only
-/// the files whose analysis could observe the change.
+/// Evidence is deliberately token-level: it rides inside the per-file
+/// facts, so the summaries are pure graph work over the index and never
+/// re-walk a translation unit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -188,10 +182,6 @@ struct FunctionSummary {
   /// A stream-hierarchy handle constructed here can escape through calls
   /// (reserved evidence for the stream rules; informational).
   bool EscapesStream = false;
-
-  /// Stable fold of every field above, provenance included — the unit the
-  /// per-file dependency fingerprint is built from.
-  uint32_t fingerprint() const;
 };
 
 /// The project-wide summary store, name-addressed.
@@ -209,15 +199,6 @@ public:
 /// iterating each SCC to a fixed point so recursion converges.
 SummaryStore computeSummaries(const ProjectIndex &Index,
                               const CallGraph &Graph);
-
-/// Per-file dependency fingerprint: for each indexed file, the crc32 fold
-/// of the summaries of every function its call sites can transitively
-/// reach. Cached diagnostics are valid only while this matches — touching
-/// a leaf TU re-analyzes exactly the files that could observe the changed
-/// summaries.
-std::vector<uint32_t> dependencyFingerprints(const ProjectIndex &Index,
-                                             const CallGraph &Graph,
-                                             const SummaryStore &Summaries);
 
 } // namespace lint
 } // namespace parmonc

@@ -4,36 +4,27 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The pipeline (see Analyzer.h) runs in two cache-aware passes. Pass one
-// produces FileFacts for every file — from the cache when the content hash
-// matches, from a fresh lex otherwise — and from them the project index
-// and the cross-file LintContext. Pass two produces raw per-file
-// diagnostics — again from the cache when both the content hash and the
-// context fingerprint match — then the project-wide rules, then the
-// central waiver/stale-waiver/baseline filtering that turns raw findings
-// into the report.
+// The pipeline (see Analyzer.h) runs in two passes. Pass one lexes every
+// file once and extracts its FileFacts, and from them the project index
+// and the cross-file LintContext. Pass two runs the per-file rules over
+// the lexed files, then the project-wide rules, then the central
+// waiver/stale-waiver filtering that turns raw findings into the report.
 //
 //===----------------------------------------------------------------------===//
 
 #include "parmonc/lint/Analyzer.h"
 
-#include "parmonc/lint/Baseline.h"
-#include "parmonc/lint/Cache.h"
 #include "parmonc/lint/CallGraph.h"
 #include "parmonc/lint/Index.h"
 #include "parmonc/lint/Rules.h"
 #include "parmonc/lint/SourceFile.h"
 #include "parmonc/lint/Summary.h"
-#include "parmonc/support/Checksum.h"
 #include "parmonc/support/Text.h"
 
 #include <algorithm>
-#include <atomic>   // mclint: allow(R3): the --jobs worker pool lives here
 #include <filesystem>
 #include <map>
-#include <memory>
 #include <set>
-#include <thread>   // mclint: allow(R3): the --jobs worker pool lives here
 
 namespace parmonc {
 namespace lint {
@@ -89,6 +80,24 @@ Status collectFiles(const std::string &Root, std::vector<std::string> &Files) {
   return Status::ok();
 }
 
+/// Keeps one spelling per file in the sorted \p Paths. `x.cpp`, `./x.cpp`
+/// and `d/../x.cpp` name the same file; analyzing it twice would double
+/// its findings and apply its fixes twice. The first spelling in sorted
+/// order is the one diagnostics show.
+void dropDuplicateFiles(std::vector<std::string> &Paths) {
+  std::set<fs::path> Identities;
+  std::vector<std::string> Unique;
+  for (std::string &Path : Paths) {
+    std::error_code Error;
+    fs::path Identity = fs::weakly_canonical(Path, Error);
+    if (Error)
+      Identity = Path;
+    if (Identities.insert(std::move(Identity)).second)
+      Unique.push_back(std::move(Path));
+  }
+  Paths = std::move(Unique);
+}
+
 /// Raw source lines of \p Contents, SourceFile's splitting rules: '\n'
 /// separated, trailing '\r' stripped, empty trailing line dropped.
 std::vector<std::string_view> splitRawLines(std::string_view Contents) {
@@ -103,52 +112,21 @@ std::vector<std::string_view> splitRawLines(std::string_view Contents) {
   return Lines;
 }
 
-/// Fingerprint of everything cross-file that per-file diagnostics depend
-/// on: the configuration plus the derived context sets.
-uint32_t contextFingerprint(std::string_view ConfigStamp,
-                            const LintContext &Context) {
-  std::string Key(ConfigStamp);
-  Key += "\nN:";
-  for (const std::string &Name : Context.NodiscardFunctions)
-    (Key += Name) += ',';
-  Key += "\nT:";
-  for (const std::string &Name : Context.TaintedFunctions)
-    (Key += Name) += ',';
-  Key += "\nC:";
-  for (const std::string &Name : Context.CleanFunctions)
-    (Key += Name) += ',';
-  return crc32(Key);
-}
-
 /// The per-run state for one scanned file.
 struct FileState {
-  std::string Path;
-  std::string Contents;
-  uint32_t ContentCrc = 0;
+  SourceFile Source;
   FileFacts Facts;
-  std::string FactsBlock; ///< Serialized Facts (cache currency).
-  std::unique_ptr<SourceFile> Lexed; ///< Lazily constructed.
-  std::vector<std::string_view> RawLines; ///< Lazily split from Contents.
   std::vector<Diagnostic> RawDiags; ///< Per-file rules, pre-filtering.
-  bool DiagsFromCache = false;
   /// Parallel to Facts.Waivers: suppressed at least one finding this run.
   std::vector<bool> WaiverUsed;
 
-  const SourceFile &source() {
-    if (!Lexed)
-      Lexed = std::make_unique<SourceFile>(Path, Contents);
-    return *Lexed;
-  }
+  explicit FileState(SourceFile Lexed)
+      : Source(std::move(Lexed)), Facts(extractFileFacts(Source)),
+        WaiverUsed(Facts.Waivers.size(), false) {}
 
-  const std::vector<std::string_view> &rawLines() {
-    if (RawLines.empty() && !Contents.empty())
-      RawLines = splitRawLines(Contents);
-    return RawLines;
-  }
-
-  std::string_view rawLine(size_t Index) {
-    const auto &Lines = rawLines();
-    return Index < Lines.size() ? Lines[Index] : std::string_view{};
+  std::string_view rawLine(size_t Index) const {
+    return Index < Source.lineCount() ? Source.rawLine(Index)
+                                      : std::string_view{};
   }
 };
 
@@ -162,23 +140,16 @@ bool waiverCovers(const Waiver &W, std::string_view RuleId, unsigned Line) {
   return Index >= W.CoverBegin && Index <= W.CoverEnd;
 }
 
-/// Filters \p Diags through the file's waivers, marking used ones.
-void filterThroughWaivers(FileState &File, std::vector<Diagnostic> &Diags) {
-  if (File.Facts.Waivers.empty())
-    return;
-  Diags.erase(std::remove_if(Diags.begin(), Diags.end(),
-                             [&](const Diagnostic &Diag) {
-                               bool Suppressed = false;
-                               for (size_t I = 0;
-                                    I < File.Facts.Waivers.size(); ++I)
-                                 if (waiverCovers(File.Facts.Waivers[I],
-                                                  Diag.RuleId, Diag.Line)) {
-                                   File.WaiverUsed[I] = true;
-                                   Suppressed = true;
-                                 }
-                               return Suppressed;
-                             }),
-              Diags.end());
+/// True when one of \p File's waivers suppresses \p Diag; marks every
+/// waiver that covers it as used.
+bool waive(FileState &File, const Diagnostic &Diag) {
+  bool Suppressed = false;
+  for (size_t I = 0; I < File.Facts.Waivers.size(); ++I)
+    if (waiverCovers(File.Facts.Waivers[I], Diag.RuleId, Diag.Line)) {
+      File.WaiverUsed[I] = true;
+      Suppressed = true;
+    }
+  return Suppressed;
 }
 
 /// The stale-waiver (R10) synthesis: one finding per waiver directive
@@ -210,7 +181,7 @@ void synthesizeStaleWaiverDiags(
       continue;
     const Waiver &First = Waivers[Members.front()];
     Diagnostic Diag;
-    Diag.Path = File.Path;
+    Diag.Path = File.Source.path();
     Diag.Line = First.DirectiveLine + 1;
     Diag.RuleId = "R10";
     Diag.RuleName = "stale-waiver";
@@ -266,11 +237,8 @@ Result<LintReport> runAnalyzer(const AnalyzerOptions &Options) {
     }
   }
   std::set<std::string, std::less<>> ActiveIds;
-  std::vector<std::string> ActiveIdList;
   for (const Rule *ActiveRule : Active)
-    if (ActiveIds.insert(std::string(ActiveRule->id())).second)
-      ActiveIdList.push_back(std::string(ActiveRule->id()));
-  const std::string ConfigStamp = cacheConfigStamp(ActiveIdList);
+    ActiveIds.insert(std::string(ActiveRule->id()));
 
   // Gather the file set.
   std::vector<std::string> Paths;
@@ -278,123 +246,45 @@ Result<LintReport> runAnalyzer(const AnalyzerOptions &Options) {
     if (Status Collected = collectFiles(Root, Paths); !Collected)
       return Collected;
   std::sort(Paths.begin(), Paths.end());
-  Paths.erase(std::unique(Paths.begin(), Paths.end()), Paths.end());
+  dropDuplicateFiles(Paths);
 
-  LintCache Cache;
-  if (!Options.CachePath.empty())
-    Cache.load(Options.CachePath, ConfigStamp);
-
-  // The per-file passes are embarrassingly parallel: every worker owns
-  // whole FileState slots (claimed through one shared counter), the cache
-  // and context are only read, and results land in the slot their file
-  // index names — so merged output is byte-identical at any job count.
-  std::vector<FileState> Files(Paths.size());
-  const unsigned Jobs = std::max(1u, Options.Jobs);
-  const auto ForEachFile = [&](auto &&Body) {
-    if (Jobs <= 1 || Files.size() <= 1) {
-      for (size_t I = 0; I < Files.size(); ++I)
-        Body(I);
-      return;
-    }
-    std::atomic<size_t> NextIndex{0}; // mclint: allow(R3): worker pool
-    const auto Work = [&] {
-      for (size_t I = NextIndex.fetch_add(1); I < Files.size();
-           I = NextIndex.fetch_add(1))
-        Body(I);
-    };
-    std::vector<std::thread> Workers; // mclint: allow(R3): worker pool
-    const unsigned Spawned =
-        std::min<unsigned>(Jobs, static_cast<unsigned>(Files.size())) - 1;
-    for (unsigned T = 0; T < Spawned; ++T)
-      Workers.emplace_back(Work);
-    Work();
-    for (auto &Worker : Workers)
-      Worker.join();
-  };
-
-  // Pass one: contents, hashes and facts — cached facts skip the lex.
-  // I/O errors are collected per file and the first (in path order) is
-  // reported, matching the serial behavior.
-  std::vector<Status> PassOneErrors(Paths.size(), Status::ok());
-  ForEachFile([&](size_t I) {
-    FileState &File = Files[I];
-    File.Path = Paths[I];
-    Result<std::string> Contents = readFileToString(File.Path);
-    if (!Contents) {
-      PassOneErrors[I] = Contents.status();
-      return;
-    }
-    File.Contents = std::move(Contents.value());
-    File.ContentCrc = crc32(File.Contents);
-    const CacheEntry *Cached = Cache.lookup(File.Path);
-    bool FactsFromCache = false;
-    if (Cached && Cached->ContentCrc == File.ContentCrc) {
-      Result<FileFacts> Parsed = parseFileFacts(Cached->FactsBlock);
-      if (Parsed) {
-        File.Facts = std::move(Parsed.value());
-        File.FactsBlock = Cached->FactsBlock;
-        FactsFromCache = true;
-      }
-    }
-    if (!FactsFromCache) {
-      File.Facts = extractFileFacts(File.source());
-      File.FactsBlock = serializeFileFacts(File.Facts);
-    }
-    File.WaiverUsed.assign(File.Facts.Waivers.size(), false);
-  });
-  for (Status &Error : PassOneErrors)
-    if (!Error)
-      return Error;
+  // Pass one: read and lex every file once, and extract its facts.
+  std::vector<FileState> Files;
+  Files.reserve(Paths.size());
+  for (const std::string &Path : Paths) {
+    Result<std::string> Contents = readFileToString(Path);
+    if (!Contents)
+      return Contents.status();
+    Files.emplace_back(SourceFile(Path, Contents.value()));
+  }
 
   // The project index and the cross-file context.
   ProjectIndex Index;
-  for (FileState &File : Files)
-    Index.add(File.Path, File.Facts);
+  for (const FileState &File : Files)
+    Index.add(File.Source.path(), File.Facts);
   LintContext Context;
   populateContextFromIndex(Index, Context);
   // R1 stands down inside bodies the dataflow stage covers — but only
   // when R11 is actually part of this run.
   Context.FlowRulesActive = ActiveIds.count("R11") != 0;
-  const uint32_t ContextCrc = contextFingerprint(ConfigStamp, Context);
 
   // The interprocedural stage: call graph and bottom-up summaries, built
-  // from the (possibly cached) per-function evidence — no lexing here.
-  // The per-file dependency fingerprints key pass two's cached findings:
-  // a changed summary re-analyzes exactly the files that can reach it.
+  // from the per-function evidence in the facts.
   const CallGraph Graph = CallGraph::build(Index);
   const SummaryStore Summaries = computeSummaries(Index, Graph);
   Context.Summaries = &Summaries;
   Context.Graph = &Graph;
-  const std::vector<uint32_t> DepsCrcs =
-      dependencyFingerprints(Index, Graph, Summaries);
 
-  // Pass two: raw per-file diagnostics, cache-aware.
+  // Pass two: raw per-file diagnostics.
   LintReport Report;
   Report.FileCount = Files.size();
-  ForEachFile([&](size_t I) {
-    FileState &File = Files[I];
-    const CacheEntry *Cached = Cache.lookup(File.Path);
-    if (!Options.ComputeFixes && Cached &&
-        Cached->ContentCrc == File.ContentCrc && Cached->HasDiags &&
-        Cached->ContextCrc == ContextCrc &&
-        Cached->DepsCrc == DepsCrcs[I]) {
-      File.RawDiags = Cached->Diags;
-      File.DiagsFromCache = true;
-      return;
-    }
+  for (FileState &File : Files)
     for (const Rule *ActiveRule : Active)
       if (ActiveRule->isPerFile())
-        ActiveRule->check(File.source(), Context, File.RawDiags);
-  });
-  for (const FileState &File : Files) {
-    if (File.DiagsFromCache)
-      ++Report.CacheHits;
-    else
-      ++Report.CacheMisses;
-  }
+        ActiveRule->check(File.Source, Context, File.RawDiags);
 
-  // Project-wide rules (R9) run over the index every time — they are
-  // cheap once lexing is skipped, and their evidence spans files.
+  // Project-wide rules (R9) run over the index: their evidence spans
+  // files.
   std::vector<Diagnostic> ProjectDiags;
   for (const Rule *ActiveRule : Active)
     if (!ActiveRule->isPerFile())
@@ -404,29 +294,16 @@ Result<LintReport> runAnalyzer(const AnalyzerOptions &Options) {
   // project diags against the file each one names.
   std::map<std::string_view, FileState *> ByPath;
   for (FileState &File : Files)
-    ByPath[File.Path] = &File;
-  for (FileState &File : Files) {
-    std::vector<Diagnostic> Kept = File.RawDiags;
-    filterThroughWaivers(File, Kept);
-    for (Diagnostic &Diag : Kept)
-      Report.Diagnostics.push_back(std::move(Diag));
-  }
+    ByPath[File.Source.path()] = &File;
+  for (FileState &File : Files)
+    for (Diagnostic &Diag : File.RawDiags)
+      if (!waive(File, Diag))
+        Report.Diagnostics.push_back(std::move(Diag));
   ProjectDiags.erase(
       std::remove_if(ProjectDiags.begin(), ProjectDiags.end(),
                      [&](const Diagnostic &Diag) {
                        const auto It = ByPath.find(Diag.Path);
-                       if (It == ByPath.end())
-                         return false;
-                       FileState &File = *It->second;
-                       bool Suppressed = false;
-                       for (size_t I = 0; I < File.Facts.Waivers.size();
-                            ++I)
-                         if (waiverCovers(File.Facts.Waivers[I],
-                                          Diag.RuleId, Diag.Line)) {
-                           File.WaiverUsed[I] = true;
-                           Suppressed = true;
-                         }
-                       return Suppressed;
+                       return It != ByPath.end() && waive(*It->second, Diag);
                      }),
       ProjectDiags.end());
   for (Diagnostic &Diag : ProjectDiags)
@@ -453,47 +330,14 @@ Result<LintReport> runAnalyzer(const AnalyzerOptions &Options) {
       Report.Diagnostics.push_back(std::move(Diag));
   }
 
-  // Baseline subtraction.
-  const auto LineTextOf = [&](const Diagnostic &Diag) -> std::string_view {
-    const auto It = ByPath.find(Diag.Path);
-    if (It == ByPath.end() || Diag.Line == 0)
-      return {};
-    return It->second->rawLine(Diag.Line - 1);
-  };
-  if (!Options.BaselinePath.empty()) {
-    Result<std::vector<BaselineEntry>> Entries =
-        loadBaseline(Options.BaselinePath);
-    if (!Entries)
-      return Entries.status();
-    Report.BaselineSuppressed = applyBaseline(
-        std::move(Entries.value()), LineTextOf, Report.Diagnostics);
-  }
-
   sortDiagnostics(Report.Diagnostics);
   Report.DiagnosticLineText.reserve(Report.Diagnostics.size());
-  for (const Diagnostic &Diag : Report.Diagnostics)
-    Report.DiagnosticLineText.emplace_back(LineTextOf(Diag));
-
-  // Persist the cache: facts always; diagnostics only from runs that
-  // computed them raw (a --fix run's diags carry fixes, which the cache
-  // drops anyway, so they are stored too — minus the fix data).
-  if (!Options.CachePath.empty()) {
-    for (size_t I = 0; I < Files.size(); ++I) {
-      FileState &File = Files[I];
-      CacheEntry Entry;
-      Entry.ContentCrc = File.ContentCrc;
-      Entry.FactsBlock = File.FactsBlock;
-      Entry.HasDiags = true;
-      Entry.ContextCrc = ContextCrc;
-      Entry.DepsCrc = DepsCrcs[I];
-      Entry.Diags = File.RawDiags;
-      for (Diagnostic &Diag : Entry.Diags)
-        Diag.Fixes.clear();
-      Cache.update(File.Path, std::move(Entry));
-    }
-    if (Status Stored = Cache.save(Options.CachePath, ConfigStamp);
-        !Stored)
-      return Stored;
+  for (const Diagnostic &Diag : Report.Diagnostics) {
+    const auto It = ByPath.find(Diag.Path);
+    Report.DiagnosticLineText.emplace_back(
+        It == ByPath.end() || Diag.Line == 0
+            ? std::string_view{}
+            : It->second->rawLine(Diag.Line - 1));
   }
   return Report;
 }

@@ -126,29 +126,5 @@ std::vector<std::vector<uint32_t>> CallGraph::sccsBottomUp() const {
   return Components;
 }
 
-std::vector<uint32_t>
-CallGraph::reachableFrom(const std::vector<uint32_t> &Roots) const {
-  std::vector<bool> Seen(Names.size(), false);
-  std::vector<uint32_t> Frontier;
-  for (uint32_t Root : Roots)
-    if (Root != npos && Root < Names.size() && !Seen[Root]) {
-      Seen[Root] = true;
-      Frontier.push_back(Root);
-    }
-  std::vector<uint32_t> Out = Frontier;
-  while (!Frontier.empty()) {
-    const uint32_t Node = Frontier.back();
-    Frontier.pop_back();
-    for (uint32_t Callee : Edges[Node])
-      if (!Seen[Callee]) {
-        Seen[Callee] = true;
-        Frontier.push_back(Callee);
-        Out.push_back(Callee);
-      }
-  }
-  std::sort(Out.begin(), Out.end());
-  return Out;
-}
-
 } // namespace lint
 } // namespace parmonc

@@ -15,7 +15,6 @@
 
 #include "parmonc/lint/Cfg.h"
 
-#include "parmonc/support/Checksum.h"
 
 #include <algorithm>
 #include <deque>
@@ -722,30 +721,6 @@ std::vector<uint32_t> shortestBlockPath(const FunctionCfg &Cfg, uint32_t From,
   Path.push_back(From);
   std::reverse(Path.begin(), Path.end());
   return Path;
-}
-
-uint32_t cfgShapeCrc(const std::vector<FunctionCfg> &Cfgs) {
-  std::string Shape;
-  for (const FunctionCfg &Cfg : Cfgs) {
-    Shape += Cfg.Name;
-    Shape += ':';
-    Shape += std::to_string(Cfg.Blocks.size());
-    Shape += '/';
-    Shape += std::to_string(Cfg.Statements.size());
-    if (Cfg.HasGoto)
-      Shape += 'g';
-    if (Cfg.HasDirectives)
-      Shape += 'd';
-    for (const CfgBlock &Block : Cfg.Blocks) {
-      Shape += ';';
-      for (uint32_t Succ : Block.Successors) {
-        Shape += std::to_string(Succ);
-        Shape += ',';
-      }
-    }
-    Shape += '\n';
-  }
-  return crc32(Shape);
 }
 
 } // namespace lint

@@ -117,11 +117,6 @@ bool constructsType(const std::vector<Token> &Tokens,
   return false;
 }
 
-void appendField(std::string &Out, std::string_view Field) {
-  Out.push_back(' ');
-  Out.append(Field);
-}
-
 } // namespace
 
 std::vector<std::string> definedFunctions(const SourceFile &File) {
@@ -206,222 +201,7 @@ FileFacts extractFileFacts(const SourceFile &File) {
   Facts.ConstructsCursor = constructsType(Tokens, "RealizationCursor");
 
   Facts.Waivers = File.waivers();
-  Facts.CfgShapeCrc = cfgShapeCrc(File.functions());
   Facts.Functions = extractFunctionEvidence(File);
-  return Facts;
-}
-
-std::string serializeFileFacts(const FileFacts &Facts) {
-  std::string Out;
-  for (const IncludeRecord &Include : Facts.Includes) {
-    Out += "I " + std::to_string(Include.Line);
-    appendField(Out, Include.Quoted ? "q" : "a");
-    appendField(Out, Include.Spec);
-    Out.push_back('\n');
-  }
-  for (const std::string &Name : Facts.NodiscardFunctions)
-    Out += "N " + Name + "\n";
-  for (const std::string &Name : Facts.DefinedFunctions)
-    Out += "F " + Name + "\n";
-  for (const auto &[Name, Lines] : Facts.FallibleCalls)
-    for (uint32_t Line : Lines)
-      Out += "C " + Name + " " + std::to_string(Line) + "\n";
-  if (Facts.UsesRawSync)
-    Out += "S\n";
-  if (Facts.MentionsPrevGeneration)
-    Out += "P\n";
-  if (Facts.ConstructsLcg128)
-    Out += "G L\n";
-  if (Facts.ConstructsStreamHierarchy)
-    Out += "G H\n";
-  if (Facts.ConstructsCursor)
-    Out += "G C\n";
-  for (const Waiver &W : Facts.Waivers) {
-    Out += "W " + W.RuleId;
-    appendField(Out, std::to_string(W.DirectiveIndex));
-    appendField(Out, std::to_string(W.DirectiveLine));
-    appendField(Out, std::to_string(W.DirectiveEndLine));
-    appendField(Out, std::to_string(W.DirectiveColumn));
-    appendField(Out, W.FileScope ? "f" : "l");
-    appendField(Out, W.Standalone ? "1" : "0");
-    appendField(Out, std::to_string(W.CoverBegin));
-    appendField(Out, std::to_string(W.CoverEnd));
-    Out.push_back('\n');
-  }
-  if (Facts.CfgShapeCrc != 0) {
-    char Hex[9];
-    for (int I = 7; I >= 0; --I)
-      Hex[7 - I] = "0123456789abcdef"[(Facts.CfgShapeCrc >> (I * 4)) & 0xF];
-    Hex[8] = '\0';
-    Out += "X ";
-    Out += Hex;
-    Out.push_back('\n');
-  }
-  for (const FunctionEvidence &Fn : Facts.Functions) {
-    Out += "U " + Fn.Name;
-    appendField(Out, std::to_string(Fn.Line));
-    appendField(Out, Fn.ReturnsFallibleType ? "1" : "0");
-    appendField(Out, Fn.ConsumesStatusParam ? "1" : "0");
-    Out.push_back('\n');
-    for (const ReturnCallRecord &Ret : Fn.ReturnCalls)
-      Out += "V r " + Ret.Callee + " " + std::to_string(Ret.Line) + "\n";
-    for (const CallSiteRecord &Call : Fn.Calls) {
-      Out += "V c " + Call.Callee + " " + std::to_string(Call.Line) + " " +
-             (Call.UnderLock ? "1" : "0");
-      for (const std::string &Mutex : Call.HeldMutexes)
-        Out += " " + Mutex;
-      Out.push_back('\n');
-    }
-    for (const TaintSiteRecord &Taint : Fn.TaintSources)
-      Out += "V t " + std::string(1, "wevup"[unsigned(Taint.Kind)]) + " " +
-             std::to_string(Taint.Line) + "\n";
-    for (const SinkSiteRecord &Sink : Fn.Sinks)
-      Out += "V s " + std::string(1, "anx"[unsigned(Sink.Kind)]) + " " +
-             std::to_string(Sink.Line) + "\n";
-    for (const LockOpRecord &Op : Fn.LockOps)
-      Out += "V l " +
-             std::string(1, Op.Kind == LockOpRecord::Op::Scoped    ? 's'
-                            : Op.Kind == LockOpRecord::Op::Acquire ? 'a'
-                                                                   : 'r') +
-             " " + Op.Mutex + " " + std::to_string(Op.Line) + "\n";
-    for (const FieldWriteRecord &Write : Fn.FieldWrites)
-      Out += "V w " + Write.Field + " " + (Write.UnderLock ? "1" : "0") +
-             " " + std::to_string(Write.Line) + "\n";
-  }
-  return Out;
-}
-
-Result<FileFacts> parseFileFacts(std::string_view Block) {
-  FileFacts Facts;
-  auto ParseU32 = [](std::string_view Field, uint32_t &Out) -> bool {
-    Result<int64_t> Value = parseInt64(Field);
-    if (!Value || Value.value() < 0)
-      return false;
-    Out = static_cast<uint32_t>(Value.value());
-    return true;
-  };
-  for (std::string_view Line : splitChar(Block, '\n')) {
-    if (trim(Line).empty())
-      continue;
-    std::vector<std::string_view> Fields = splitWhitespace(Line);
-    const std::string_view Tag = Fields[0];
-    if (Tag == "I" && Fields.size() == 4) {
-      IncludeRecord Record;
-      if (!ParseU32(Fields[1], Record.Line))
-        return invalidArgument("bad include line in facts block");
-      Record.Quoted = Fields[2] == "q";
-      Record.Spec = std::string(Fields[3]);
-      Facts.Includes.push_back(std::move(Record));
-    } else if (Tag == "N" && Fields.size() == 2) {
-      Facts.NodiscardFunctions.emplace_back(Fields[1]);
-    } else if (Tag == "F" && Fields.size() == 2) {
-      Facts.DefinedFunctions.emplace_back(Fields[1]);
-    } else if (Tag == "C" && Fields.size() == 3) {
-      uint32_t CallLine = 0;
-      if (!ParseU32(Fields[2], CallLine))
-        return invalidArgument("bad call line in facts block");
-      Facts.FallibleCalls[std::string(Fields[1])].push_back(CallLine);
-    } else if (Tag == "S") {
-      Facts.UsesRawSync = true;
-    } else if (Tag == "P") {
-      Facts.MentionsPrevGeneration = true;
-    } else if (Tag == "G" && Fields.size() == 2) {
-      if (Fields[1] == "L")
-        Facts.ConstructsLcg128 = true;
-      else if (Fields[1] == "H")
-        Facts.ConstructsStreamHierarchy = true;
-      else if (Fields[1] == "C")
-        Facts.ConstructsCursor = true;
-    } else if (Tag == "X" && Fields.size() == 2) {
-      uint32_t Crc = 0;
-      for (char C : Fields[1]) {
-        uint32_t Digit = 0;
-        if (C >= '0' && C <= '9')
-          Digit = static_cast<uint32_t>(C - '0');
-        else if (C >= 'a' && C <= 'f')
-          Digit = static_cast<uint32_t>(C - 'a') + 10;
-        else
-          return invalidArgument("bad cfg shape crc in facts block");
-        Crc = (Crc << 4) | Digit;
-      }
-      Facts.CfgShapeCrc = Crc;
-    } else if (Tag == "U" && Fields.size() == 5) {
-      FunctionEvidence Fn;
-      Fn.Name = std::string(Fields[1]);
-      if (!ParseU32(Fields[2], Fn.Line))
-        return invalidArgument("bad function record in facts block");
-      Fn.ReturnsFallibleType = Fields[3] == "1";
-      Fn.ConsumesStatusParam = Fields[4] == "1";
-      Facts.Functions.push_back(std::move(Fn));
-    } else if (Tag == "V" && Fields.size() >= 4) {
-      if (Facts.Functions.empty())
-        return invalidArgument("function evidence before function record");
-      FunctionEvidence &Fn = Facts.Functions.back();
-      const std::string_view Kind = Fields[1];
-      uint32_t RecLine = 0;
-      if (Kind == "r" && Fields.size() == 4) {
-        if (!ParseU32(Fields[3], RecLine))
-          return invalidArgument("bad return-call record in facts block");
-        Fn.ReturnCalls.push_back({std::string(Fields[2]), RecLine});
-      } else if (Kind == "c" && Fields.size() >= 5) {
-        if (!ParseU32(Fields[3], RecLine))
-          return invalidArgument("bad call record in facts block");
-        CallSiteRecord Call{std::string(Fields[2]), RecLine,
-                            Fields[4] == "1", {}};
-        for (size_t I = 5; I < Fields.size(); ++I)
-          Call.HeldMutexes.emplace_back(Fields[I]);
-        Fn.Calls.push_back(std::move(Call));
-      } else if (Kind == "t" && Fields.size() == 4) {
-        const size_t TaintIndex = std::string_view("wevup").find(Fields[2]);
-        if (TaintIndex == std::string_view::npos || Fields[2].size() != 1 ||
-            !ParseU32(Fields[3], RecLine))
-          return invalidArgument("bad taint record in facts block");
-        Fn.TaintSources.push_back({TaintKind(TaintIndex), RecLine});
-      } else if (Kind == "s" && Fields.size() == 4) {
-        const size_t SinkIndex = std::string_view("anx").find(Fields[2]);
-        if (SinkIndex == std::string_view::npos || Fields[2].size() != 1 ||
-            !ParseU32(Fields[3], RecLine))
-          return invalidArgument("bad sink record in facts block");
-        Fn.Sinks.push_back({SinkKind(SinkIndex), RecLine});
-      } else if (Kind == "l" && Fields.size() == 5) {
-        LockOpRecord Op;
-        if (Fields[2] == "s")
-          Op.Kind = LockOpRecord::Op::Scoped;
-        else if (Fields[2] == "a")
-          Op.Kind = LockOpRecord::Op::Acquire;
-        else if (Fields[2] == "r")
-          Op.Kind = LockOpRecord::Op::Release;
-        else
-          return invalidArgument("bad lock record in facts block");
-        Op.Mutex = std::string(Fields[3]);
-        if (!ParseU32(Fields[4], Op.Line))
-          return invalidArgument("bad lock record in facts block");
-        Fn.LockOps.push_back(std::move(Op));
-      } else if (Kind == "w" && Fields.size() == 5) {
-        if (!ParseU32(Fields[4], RecLine))
-          return invalidArgument("bad field-write record in facts block");
-        Fn.FieldWrites.push_back(
-            {std::string(Fields[2]), Fields[3] == "1", RecLine});
-      } else {
-        return invalidArgument("unrecognized evidence record");
-      }
-    } else if (Tag == "W" && Fields.size() == 10) {
-      Waiver W;
-      W.RuleId = std::string(Fields[1]);
-      if (!ParseU32(Fields[2], W.DirectiveIndex) ||
-          !ParseU32(Fields[3], W.DirectiveLine) ||
-          !ParseU32(Fields[4], W.DirectiveEndLine) ||
-          !ParseU32(Fields[5], W.DirectiveColumn) ||
-          !ParseU32(Fields[8], W.CoverBegin) ||
-          !ParseU32(Fields[9], W.CoverEnd))
-        return invalidArgument("bad waiver record in facts block");
-      W.FileScope = Fields[6] == "f";
-      W.Standalone = Fields[7] == "1";
-      Facts.Waivers.push_back(std::move(W));
-    } else {
-      return invalidArgument("unrecognized facts record");
-    }
-  }
   return Facts;
 }
 

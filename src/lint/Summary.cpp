@@ -8,7 +8,6 @@
 
 #include "parmonc/lint/CallGraph.h"
 #include "parmonc/lint/Index.h"
-#include "parmonc/support/Checksum.h"
 
 #include <algorithm>
 
@@ -669,15 +668,6 @@ extractFunctionEvidence(const SourceFile &File) {
 
 namespace {
 
-void appendCrcField(std::string &Out, std::string_view Field) {
-  Out.append(Field);
-  Out.push_back('\x1f');
-}
-
-void appendCrcU32(std::string &Out, uint32_t Value) {
-  appendCrcField(Out, std::to_string(Value));
-}
-
 /// Files whose functions are sanctioned determinism-taint carriers: the
 /// obs/ trace layer timestamps deliberately, and support/Clock.h *is* the
 /// approved wall-clock seam.
@@ -688,31 +678,6 @@ bool isSanctionedTaintPath(std::string_view Path) {
 }
 
 } // namespace
-
-uint32_t FunctionSummary::fingerprint() const {
-  std::string Blob;
-  appendCrcField(Blob, File);
-  appendCrcU32(Blob, Line);
-  appendCrcU32(Blob, ReturnsFallible ? 1 : 0);
-  appendCrcField(Blob, FallibleVia);
-  appendCrcU32(Blob, FallibleLine);
-  appendCrcU32(Blob, TaintsDeterminism ? 1 : 0);
-  appendCrcU32(Blob, uint32_t(TaintOrigin));
-  appendCrcField(Blob, TaintVia);
-  appendCrcU32(Blob, TaintLine);
-  for (const std::string &Lock : AcquiresLocks) {
-    appendCrcField(Blob, Lock);
-    const auto It = LockVia.find(Lock);
-    if (It != LockVia.end()) {
-      appendCrcField(Blob, It->second.first);
-      appendCrcU32(Blob, It->second.second);
-    }
-  }
-  appendCrcU32(Blob, CalledUnderLock ? 1 : 0);
-  appendCrcU32(Blob, ConsumesStatusParam ? 1 : 0);
-  appendCrcU32(Blob, EscapesStream ? 1 : 0);
-  return crc32(Blob);
-}
 
 SummaryStore computeSummaries(const ProjectIndex &Index,
                               const CallGraph &Graph) {
@@ -844,29 +809,6 @@ SummaryStore computeSummaries(const ProjectIndex &Index,
     Store.Map.find(Name)->second.CalledUnderLock = true;
 
   return Store;
-}
-
-std::vector<uint32_t> dependencyFingerprints(const ProjectIndex &Index,
-                                             const CallGraph &Graph,
-                                             const SummaryStore &Summaries) {
-  std::vector<uint32_t> Out(Index.fileCount(), 0);
-  for (size_t I = 0; I < Index.fileCount(); ++I) {
-    std::vector<uint32_t> Roots;
-    for (const FunctionEvidence &Fn : Index.facts(I).Functions) {
-      for (const CallSiteRecord &Call : Fn.Calls)
-        Roots.push_back(Graph.nodeFor(Call.Callee));
-      for (const ReturnCallRecord &Ret : Fn.ReturnCalls)
-        Roots.push_back(Graph.nodeFor(Ret.Callee));
-    }
-    std::string Blob;
-    for (uint32_t Node : Graph.reachableFrom(Roots)) {
-      const FunctionSummary *S = Summaries.find(Graph.name(Node));
-      appendCrcField(Blob, Graph.name(Node));
-      appendCrcU32(Blob, S ? S->fingerprint() : 0);
-    }
-    Out[I] = crc32(Blob);
-  }
-  return Out;
 }
 
 } // namespace lint

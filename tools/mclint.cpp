@@ -21,13 +21,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "parmonc/lint/Analyzer.h"
-#include "parmonc/lint/Baseline.h"
 #include "parmonc/lint/Rules.h"
 #include "parmonc/lint/Sarif.h"
 #include "parmonc/support/Text.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -40,11 +38,7 @@ static int printUsage(const char *Program) {
       "  --werror               findings are errors: any finding exits 1\n"
       "  --rule=IDS             run only the named rules, e.g. --rule=R1,R3\n"
       "  --format=text|sarif    output format (default: text)\n"
-      "  --baseline=FILE        suppress findings recorded in FILE\n"
-      "  --write-baseline=FILE  record current findings to FILE and exit\n"
       "  --fix                  apply safe autofixes (R4, R10) in place\n"
-      "  --cache=FILE           incremental analysis cache\n"
-      "  --jobs=N               analyze files on N worker threads\n"
       "  --list-rules           print the rule table and exit\n"
       "  --explain RULE         print a rule's rationale and example\n",
       Program);
@@ -83,7 +77,6 @@ int main(int Argc, char **Argv) {
   bool Werror = false;
   bool Fix = false;
   bool Sarif = false;
-  std::string WriteBaselinePath;
   for (int Index = 1; Index < Argc; ++Index) {
     const char *Arg = Argv[Index];
     if (std::strcmp(Arg, "--werror") == 0) {
@@ -108,18 +101,6 @@ int main(int Argc, char **Argv) {
         Sarif = true;
       else if (Format != "text")
         return printUsage(Argv[0]);
-    } else if (std::strncmp(Arg, "--baseline=", 11) == 0) {
-      Options.BaselinePath = Arg + 11;
-    } else if (std::strncmp(Arg, "--write-baseline=", 17) == 0) {
-      WriteBaselinePath = Arg + 17;
-    } else if (std::strncmp(Arg, "--cache=", 8) == 0) {
-      Options.CachePath = Arg + 8;
-    } else if (std::strncmp(Arg, "--jobs=", 7) == 0) {
-      char *End = nullptr;
-      const unsigned long Jobs = std::strtoul(Arg + 7, &End, 10);
-      if (End == Arg + 7 || *End != '\0' || Jobs > 256)
-        return printUsage(Argv[0]);
-      Options.Jobs = static_cast<unsigned>(Jobs);
     } else if (Arg[0] == '-') {
       return printUsage(Argv[0]);
     } else {
@@ -144,21 +125,6 @@ int main(int Argc, char **Argv) {
         return R.DiagnosticLineText[I];
     return {};
   };
-
-  if (!WriteBaselinePath.empty()) {
-    const std::string Contents =
-        lint::formatBaseline(R.Diagnostics, LineTextOf);
-    if (Status Wrote = writeFileAtomic(WriteBaselinePath, Contents);
-        !Wrote) {
-      std::fprintf(stderr, "mclint: %s\n", Wrote.toString().c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "mclint: wrote %zu baseline entr%s to %s\n",
-                 R.Diagnostics.size(),
-                 R.Diagnostics.size() == 1 ? "y" : "ies",
-                 WriteBaselinePath.c_str());
-    return 0;
-  }
 
   if (Fix) {
     Result<size_t> Fixed = lint::applyFixes(R.Diagnostics);
