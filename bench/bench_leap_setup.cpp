@@ -55,6 +55,8 @@ void BM_Hierarchy_InitialNumber(benchmark::State &State) {
 }
 BENCHMARK(BM_Hierarchy_InitialNumber);
 
+// Stream creation cost: what the engine pays per realization boundary
+// (one 128-bit multiply) — §2.4's point that leaping is effectively free.
 void BM_Cursor_BeginRealization(benchmark::State &State) {
   StreamHierarchy Hierarchy{LeapTable()};
   RealizationCursor Cursor(Hierarchy, {0, 0, 0});

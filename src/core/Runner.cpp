@@ -374,8 +374,8 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
         if (Collector.ShardIndexSeen[Rank] > 0)
           Request.Shards.push_back(Collector.ShardRef[Rank]);
       // The stall this save-point spends on checkpointing: the full
-      // commit when synchronous, a queue hand-off when asynchronous —
-      // the contrast BENCH_ckpt.json quantifies.
+      // commit when synchronous, a queue hand-off when asynchronous
+      // (perfbench reports it as ckpt.save_stall_us.*).
       const int64_t HandoffStart = Time.nowNanos();
       if (AsyncWriter)
         (void)AsyncWriter->enqueue(std::move(Request));

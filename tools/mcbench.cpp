@@ -1,4 +1,4 @@
-//===- tools/mcbench.cpp - Performance benchmark harness ------------------===//
+//===- tools/mcbench.cpp - RNG kernel benchmark ---------------------------===//
 //
 // Part of the PARMONC reproduction library.
 //
@@ -6,43 +6,27 @@
 //
 // Usage:
 //
-//   $ mcbench [--smoke] [--out DIR] [--rng-only] [--runner-only]
-//             [--ckpt-only] [--transport threads|processes]
+//   $ mcbench [--smoke] [--out DIR]
 //
-// Measures the performance layer end to end and records the numbers as
+// Measures the draw, leap and multiply kernels and records the numbers as
 // machine-readable JSON:
 //
 //   DIR/BENCH_rng.json     ns per 128-bit multiply (native vs portable),
 //                          ns per draw for scalar nextUniform(), the
 //                          four-lane fillBatch() kernel, fillBatchBits64()
 //                          and the block-leap kernel, plus the derived
-//                          speedup ratios.
-//   DIR/BENCH_runner.json  realizations/sec of the run engine at 1, 2 and
-//                          4 worker threads per rank, with speedup and
-//                          parallel efficiency relative to the serial
-//                          engine, for a latency-bound and a CPU-bound
-//                          workload. With --transport processes the sweep
-//                          scales forked worker PROCESSES over the socket
-//                          transport instead of threads, measuring the
-//                          wire's overhead against the in-process fabric.
-//   DIR/BENCH_ckpt.json    save-point stall (the collector time spent
-//                          inside its checkpoint save) for the sharded
-//                          synchronous commit path versus the background
-//                          writer, at an aggressive save-every-poll
-//                          cadence — plus the coalescing count and a
-//                          bit-equality check of the final means, since
-//                          the writer may drop generations but must never
-//                          change results.
+//                          speedup ratios and the "simd_bit_equal" verdict
+//                          of the in-band kernel oracles.
 //
-// --smoke shrinks every size so the whole harness finishes in well under a
-// second — that is what the bench-smoke CI job and the ctest smoke test
-// run. Interpretation guidance lives in docs/PERFORMANCE.md.
+// mcbench writes the report, then exits 1 if the verdict is false, so a
+// broken wide kernel fails the run that measured it. The engine itself is
+// measured end to end by perfbench/ (docs/PERFORMANCE.md).
 //
-// The engine runs write their parmonc_data/ tree under DIR/mcbench_work.
+// --smoke shrinks the draw count so the run finishes in well under a
+// second; that is what the bench-smoke CI job and the ctest smoke test run.
 //
 //===----------------------------------------------------------------------===//
 
-#include "parmonc/core/Runner.h"
 #include "parmonc/int128/UInt128.h"
 #include "parmonc/rng/Lcg128.h"
 #include "parmonc/rng/LeapWindow.h"
@@ -57,7 +41,6 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 using namespace parmonc;
@@ -75,11 +58,7 @@ uint64_t Checksum = 0;
 
 struct Options {
   bool Smoke = false;
-  bool RngOnly = false;
-  bool RunnerOnly = false;
-  bool CkptOnly = false;
   std::string OutDir = ".";
-  TransportKind Transport = TransportKind::Threads;
 };
 
 double nsPerOp(int64_t Nanos, uint64_t Ops) {
@@ -378,264 +357,8 @@ std::string rngJson(const RngNumbers &Numbers, bool Smoke) {
   return Json;
 }
 
-// --- Runner suite ----------------------------------------------------------
-
-struct SeriesPoint {
-  int Threads = 1;
-  double Seconds = 0.0;
-  double RealizationsPerSec = 0.0;
-  double Mean = 0.0;
-  int64_t Volume = 0;
-};
-
-/// One engine run at \p Threads parallel lanes: worker threads on one
-/// simulated processor under the thread transport, or that many forked
-/// rank processes over the socket transport.
-SeriesPoint runEngineOnce(const RealizationFn &Realization,
-                          int64_t Realizations, int Threads,
-                          TransportKind Transport,
-                          const std::string &WorkDir) {
-  RunConfig Config;
-  Config.Rows = 1;
-  Config.Columns = 1;
-  Config.MaxSampleVolume = Realizations;
-  Config.Transport = Transport;
-  if (Transport == TransportKind::Processes) {
-    Config.ProcessorCount = Threads;
-    Config.WorkerThreadsPerRank = 1;
-  } else {
-    Config.ProcessorCount = 1;
-    Config.WorkerThreadsPerRank = Threads;
-  }
-  Config.DeterministicSchedule = true;
-  Config.PassPeriodNanos = 50'000'000;
-  Config.AveragePeriodNanos = 200'000'000;
-  Config.WorkDir = WorkDir;
-
-  Result<RunReport> Outcome = runSimulation(Realization, Config);
-  if (!Outcome) {
-    std::fprintf(stderr, "mcbench: engine run failed: %s\n",
-                 Outcome.status().toString().c_str());
-    std::exit(1);
-  }
-  SeriesPoint Point;
-  Point.Threads = Threads;
-  Point.Seconds = Outcome.value().ElapsedSeconds;
-  Point.Volume = Outcome.value().NewSampleVolume;
-  Point.RealizationsPerSec =
-      Point.Seconds > 0.0 ? double(Point.Volume) / Point.Seconds : 0.0;
-  ResultsStore Store(WorkDir);
-  if (Result<std::vector<double>> Means = Store.readMeans(1, 1))
-    Point.Mean = Means.value()[0];
-  return Point;
-}
-
-std::string seriesJson(const std::vector<SeriesPoint> &Series) {
-  const double SerialSeconds = Series.empty() ? 0.0 : Series.front().Seconds;
-  std::string Json = "[\n";
-  for (size_t Index = 0; Index < Series.size(); ++Index) {
-    const SeriesPoint &Point = Series[Index];
-    const double Speedup =
-        Point.Seconds > 0.0 ? SerialSeconds / Point.Seconds : 0.0;
-    Json += "      {\"threads\": " + std::to_string(Point.Threads) +
-            ", \"seconds\": " + formatDouble(Point.Seconds) +
-            ", \"realizations_per_sec\": " +
-            formatDouble(Point.RealizationsPerSec) +
-            ", \"speedup\": " + formatDouble(Speedup) +
-            ", \"efficiency\": " +
-            formatDouble(Speedup / double(Point.Threads)) +
-            ", \"volume\": " + std::to_string(Point.Volume) +
-            ", \"mean\": " + formatDouble(Point.Mean) + "}";
-    Json += Index + 1 < Series.size() ? ",\n" : "\n";
-  }
-  Json += "    ]";
-  return Json;
-}
-
-std::string runRunnerSuite(bool Smoke, const std::string &OutDir,
-                           TransportKind Transport) {
-  const std::string WorkDir = OutDir + "/mcbench_work";
-  if (Status Created = createDirectories(WorkDir); !Created) {
-    std::fprintf(stderr, "mcbench: cannot create %s: %s\n", WorkDir.c_str(),
-                 Created.toString().c_str());
-    std::exit(1);
-  }
-  const std::vector<int> ThreadCounts = {1, 2, 4};
-
-  // Latency-bound workload: each realization is dominated by waiting (the
-  // shape of simulations bound by I/O, device latency or a co-model), so
-  // threads overlap wall-clock even on a single core. The observable is an
-  // integer-valued indicator, which keeps the moment sums exactly summable
-  // — so the per-thread-count means must agree exactly.
-  const int64_t SleepNanos = Smoke ? 50'000 : 200'000;
-  const int64_t LatencyRealizations = Smoke ? 64 : 2000;
-  RealizationFn LatencyBound = [SleepNanos](RandomSource &Source,
-                                            double *Out) {
-    const double Draw = Source.nextUniform();
-    Timer.sleepNanos(SleepNanos);
-    Out[0] = Draw < 0.5 ? 1.0 : 0.0;
-  };
-  std::vector<SeriesPoint> Latency;
-  for (int Threads : ThreadCounts)
-    Latency.push_back(runEngineOnce(LatencyBound, LatencyRealizations,
-                                    Threads, Transport, WorkDir));
-
-  // CPU-bound workload: pure arithmetic through the batched RNG kernel.
-  // On a single-core host this series cannot scale (documented in
-  // docs/PERFORMANCE.md); on a multi-core host it shows the compute
-  // speedup directly.
-  const size_t DrawsPerRealization = Smoke ? 256 : 2048;
-  const int64_t CpuRealizations = Smoke ? 128 : 20000;
-  RealizationFn CpuBound = [DrawsPerRealization](RandomSource &Source,
-                                                 double *Out) {
-    std::vector<double> Buffer(DrawsPerRealization);
-    Source.fillUniforms(Buffer.data(), Buffer.size());
-    double Below = 0.0;
-    for (double Draw : Buffer)
-      Below += Draw < 0.5 ? 1.0 : 0.0;
-    Out[0] = Below;
-  };
-  std::vector<SeriesPoint> Cpu;
-  for (int Threads : ThreadCounts)
-    Cpu.push_back(
-        runEngineOnce(CpuBound, CpuRealizations, Threads, Transport, WorkDir));
-
-  std::string Json = "{\n";
-  Json += "  \"suite\": \"runner\",\n";
-  Json += std::string("  \"transport\": \"") + transportName(Transport) +
-          "\",\n";
-  Json += std::string("  \"smoke\": ") + (Smoke ? "true" : "false") + ",\n";
-  Json += "  \"host_cpus\": " +
-          std::to_string(sysconf(_SC_NPROCESSORS_ONLN)) + ",\n";
-  Json += "  \"latency_bound\": {\n";
-  Json += "    \"realizations\": " + std::to_string(LatencyRealizations) +
-          ",\n";
-  Json += "    \"sleep_us_per_realization\": " +
-          std::to_string(SleepNanos / 1000) + ",\n";
-  Json += "    \"series\": " + seriesJson(Latency) + "\n";
-  Json += "  },\n";
-  Json += "  \"cpu_bound\": {\n";
-  Json += "    \"realizations\": " + std::to_string(CpuRealizations) + ",\n";
-  Json += "    \"draws_per_realization\": " +
-          std::to_string(DrawsPerRealization) + ",\n";
-  Json += "    \"series\": " + seriesJson(Cpu) + "\n";
-  Json += "  }\n";
-  Json += "}\n";
-  return Json;
-}
-
-// --- Checkpoint suite ------------------------------------------------------
-
-struct CkptPoint {
-  double Seconds = 0.0;
-  int64_t SavePoints = 0;
-  int64_t Commits = 0;
-  int64_t Coalesced = 0;
-  double StallMeanUs = 0.0;
-  double StallP90Us = 0.0;
-  double StallMaxUs = 0.0;
-  double Mean = 0.0;
-};
-
-/// One sharded-checkpoint engine run on the real clock, saving at every
-/// collector poll — the cadence that makes save-point stall dominate, so
-/// the synchronous commit and the background writer separate cleanly.
-CkptPoint runCkptOnce(bool Async, int64_t Realizations,
-                      const std::string &WorkDir) {
-  RunConfig Config;
-  Config.Rows = 1;
-  Config.Columns = 1;
-  Config.MaxSampleVolume = Realizations;
-  Config.ProcessorCount = 2;
-  Config.DeterministicSchedule = true;
-  Config.AveragePeriodNanos = 0; // a save point at every collector poll
-  Config.WorkDir = WorkDir;
-  Config.CheckpointShards = true;
-  Config.CheckpointAsync = Async;
-  Config.CheckpointQueueDepth = 4;
-  RealizationFn Indicator = [](RandomSource &Source, double *Out) {
-    Out[0] = Source.nextUniform() < 0.5 ? 1.0 : 0.0;
-  };
-  Result<RunReport> Outcome = runSimulation(Indicator, Config);
-  if (!Outcome) {
-    std::fprintf(stderr, "mcbench: ckpt run failed: %s\n",
-                 Outcome.status().toString().c_str());
-    std::exit(1);
-  }
-  const RunReport &Report = Outcome.value();
-  CkptPoint Point;
-  Point.Seconds = Report.ElapsedSeconds;
-  Point.SavePoints = Report.SavePointCount;
-  Point.Coalesced = Report.CoalescedCheckpoints;
-  if (const int64_t *Commits = Report.Metrics.counterValue("ckpt.commits"))
-    Point.Commits = *Commits;
-  if (const obs::LatencySummary *Stall =
-          Report.Metrics.latencySummary("ckpt.save_stall")) {
-    Point.StallMeanUs = Stall->meanNanos() / 1000.0;
-    Point.StallP90Us = double(Stall->quantileUpperNanos(0.9)) / 1000.0;
-    Point.StallMaxUs = double(Stall->MaxNanos) / 1000.0;
-  }
-  ResultsStore Store(WorkDir);
-  if (Result<std::vector<double>> Means = Store.readMeans(1, 1))
-    Point.Mean = Means.value()[0];
-  Checksum ^= uint64_t(Point.SavePoints) ^ uint64_t(Point.Commits);
-  return Point;
-}
-
-std::string ckptPointJson(const CkptPoint &Point) {
-  std::string Json = "{\n";
-  Json += "    \"seconds\": " + formatDouble(Point.Seconds) + ",\n";
-  Json += "    \"save_points\": " + std::to_string(Point.SavePoints) + ",\n";
-  Json += "    \"committed_generations\": " + std::to_string(Point.Commits) +
-          ",\n";
-  Json += "    \"coalesced_saves\": " + std::to_string(Point.Coalesced) +
-          ",\n";
-  Json += "    \"save_stall_mean_us\": " + formatDouble(Point.StallMeanUs) +
-          ",\n";
-  Json += "    \"save_stall_p90_us\": " + formatDouble(Point.StallP90Us) +
-          ",\n";
-  Json += "    \"save_stall_max_us\": " + formatDouble(Point.StallMaxUs) +
-          ",\n";
-  Json += "    \"mean\": " + formatDouble(Point.Mean) + "\n";
-  Json += "  }";
-  return Json;
-}
-
-std::string runCkptSuite(bool Smoke, const std::string &OutDir) {
-  const std::string WorkRoot = OutDir + "/mcbench_work";
-  const int64_t Realizations = Smoke ? 128 : 1024;
-  const CkptPoint Sync =
-      runCkptOnce(/*Async=*/false, Realizations, WorkRoot + "/ckpt_sync");
-  const CkptPoint Async =
-      runCkptOnce(/*Async=*/true, Realizations, WorkRoot + "/ckpt_async");
-
-  std::string Json = "{\n";
-  Json += "  \"suite\": \"ckpt\",\n";
-  Json += std::string("  \"smoke\": ") + (Smoke ? "true" : "false") + ",\n";
-  Json += "  \"ranks\": 2,\n";
-  Json += "  \"realizations\": " + std::to_string(Realizations) + ",\n";
-  Json += "  \"queue_depth\": 4,\n";
-  Json += "  \"sync\": " + ckptPointJson(Sync) + ",\n";
-  Json += "  \"async\": " + ckptPointJson(Async) + ",\n";
-  Json += "  \"stall_reduction_mean\": " +
-          formatDouble(Async.StallMeanUs > 0.0
-                           ? Sync.StallMeanUs / Async.StallMeanUs
-                           : 0.0) +
-          ",\n";
-  // The background writer buys latency by SKIPPING generations, never by
-  // changing state: the two runs must land on bit-identical estimates.
-  Json += std::string("  \"means_bit_equal\": ") +
-          (Sync.Mean == Async.Mean ? "true" : "false") + "\n";
-  Json += "}\n";
-  return Json;
-}
-
 int usage(const char *Program) {
-  std::fprintf(stderr,
-               "usage: %s [--smoke] [--out DIR] [--rng | --rng-only] "
-               "[--runner-only] [--ckpt-only] "
-               "[--transport threads|processes]\n",
-               Program);
+  std::fprintf(stderr, "usage: %s [--smoke] [--out DIR]\n", Program);
   return 2;
 }
 
@@ -646,66 +369,35 @@ int main(int Argc, char **Argv) {
   for (int Index = 1; Index < Argc; ++Index) {
     if (std::strcmp(Argv[Index], "--smoke") == 0) {
       Opts.Smoke = true;
-    } else if (std::strcmp(Argv[Index], "--rng-only") == 0 ||
-               std::strcmp(Argv[Index], "--rng") == 0) {
-      Opts.RngOnly = true;
-    } else if (std::strcmp(Argv[Index], "--runner-only") == 0) {
-      Opts.RunnerOnly = true;
-    } else if (std::strcmp(Argv[Index], "--ckpt-only") == 0) {
-      Opts.CkptOnly = true;
     } else if (std::strcmp(Argv[Index], "--out") == 0 && Index + 1 < Argc) {
       Opts.OutDir = Argv[++Index];
-    } else if (std::strcmp(Argv[Index], "--transport") == 0 &&
-               Index + 1 < Argc) {
-      std::optional<TransportKind> Parsed = parseTransport(Argv[++Index]);
-      if (!Parsed)
-        return usage(Argv[0]);
-      Opts.Transport = *Parsed;
     } else {
       return usage(Argv[0]);
     }
   }
-  if (int(Opts.RngOnly) + int(Opts.RunnerOnly) + int(Opts.CkptOnly) > 1)
-    return usage(Argv[0]);
   if (Status Created = createDirectories(Opts.OutDir); !Created) {
     std::fprintf(stderr, "mcbench: cannot create %s: %s\n",
                  Opts.OutDir.c_str(), Created.toString().c_str());
     return 1;
   }
 
-  if (!Opts.RunnerOnly && !Opts.CkptOnly) {
-    const uint64_t Draws = Opts.Smoke ? (uint64_t(1) << 16)
-                                      : (uint64_t(1) << 24);
-    const RngNumbers Numbers = runRngSuite(Draws);
-    const std::string Path = Opts.OutDir + "/BENCH_rng.json";
-    if (Status Written = writeFileAtomic(Path, rngJson(Numbers, Opts.Smoke));
-        !Written) {
-      std::fprintf(stderr, "mcbench: %s\n", Written.toString().c_str());
-      return 1;
-    }
-    std::printf("mcbench: wrote %s (fast multiply %.2f ns, portable %.2f "
-                "ns, batch %.2f ns/draw)\n",
-                Path.c_str(), Numbers.FastMulNs, Numbers.PortableMulNs,
-                Numbers.BatchNs);
+  const uint64_t Draws = Opts.Smoke ? (uint64_t(1) << 16)
+                                    : (uint64_t(1) << 24);
+  const RngNumbers Numbers = runRngSuite(Draws);
+  const std::string Path = Opts.OutDir + "/BENCH_rng.json";
+  if (Status Written = writeFileAtomic(Path, rngJson(Numbers, Opts.Smoke));
+      !Written) {
+    std::fprintf(stderr, "mcbench: %s\n", Written.toString().c_str());
+    return 1;
   }
-  if (!Opts.RngOnly && !Opts.CkptOnly) {
-    const std::string Json =
-        runRunnerSuite(Opts.Smoke, Opts.OutDir, Opts.Transport);
-    const std::string Path = Opts.OutDir + "/BENCH_runner.json";
-    if (Status Written = writeFileAtomic(Path, Json); !Written) {
-      std::fprintf(stderr, "mcbench: %s\n", Written.toString().c_str());
-      return 1;
-    }
-    std::printf("mcbench: wrote %s\n", Path.c_str());
-  }
-  if (!Opts.RngOnly && !Opts.RunnerOnly) {
-    const std::string Json = runCkptSuite(Opts.Smoke, Opts.OutDir);
-    const std::string Path = Opts.OutDir + "/BENCH_ckpt.json";
-    if (Status Written = writeFileAtomic(Path, Json); !Written) {
-      std::fprintf(stderr, "mcbench: %s\n", Written.toString().c_str());
-      return 1;
-    }
-    std::printf("mcbench: wrote %s\n", Path.c_str());
+  std::printf("mcbench: wrote %s (fast multiply %.2f ns, portable %.2f "
+              "ns, batch %.2f ns/draw)\n",
+              Path.c_str(), Numbers.FastMulNs, Numbers.PortableMulNs,
+              Numbers.BatchNs);
+  if (!Numbers.SimdBitEqual) {
+    std::fprintf(stderr, "mcbench: simd_bit_equal is false: a dispatched "
+                         "kernel disagrees with its oracle\n");
+    return 1;
   }
   return 0;
 }
