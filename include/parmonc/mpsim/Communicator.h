@@ -188,7 +188,8 @@ public:
 
   /// Tears the fabric down while peers may still hold queued messages:
   /// closes every mailbox (waking all blocked receivers) and releases any
-  /// barrier waiters. After shutdown the rank threads can be joined in
+  /// barrier waiters, present and future — a rank that reaches the
+  /// barrier only after the shutdown passes straight through. After shutdown the rank threads can be joined in
   /// any order without deadlocking — the shutdown-ordering contract the
   /// adversarial-join regression tests pin down.
   void shutdown();
@@ -241,6 +242,7 @@ private:
   int BarrierWaiting = 0;
   int DeadRanks = 0;
   uint64_t BarrierGeneration = 0;
+  bool BarrierShutDown = false;
   std::vector<bool> DeadByRank;
   std::atomic<uint64_t> TotalBytes{0};
   std::atomic<bool> StopFlag{false};

@@ -16,6 +16,14 @@
 /// marked dead so barriers and degraded collection keep working), waitpid
 /// reaping with a grace period and SIGKILL escalation on teardown.
 ///
+/// Superseding messages from a worker to rank 0 (Message::Supersedes, the
+/// engine's cumulative subtotals) do not cross the socket: each worker
+/// owns a shared-memory latest-value slot mapped before the fork, and the
+/// socket carries only a LatestReady doorbell while none is outstanding.
+/// The router delivers the newest complete value on the doorbell and again
+/// when the worker's stream ends, so a published subtotal survives the
+/// worker's SIGKILL. See DESIGN.md §11.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PARMONC_MPSIM_SOCKETTRANSPORT_H
@@ -23,7 +31,15 @@
 
 #include "parmonc/mpsim/Engine.h"
 
+#include <cstddef>
+
 namespace parmonc {
+
+/// Largest superseding payload a worker's latest-value slot holds; a
+/// larger one, and from then on every message of its tag, travels as a
+/// socket frame instead. Pages of the slot are touched only as far as the
+/// payloads reach.
+inline constexpr size_t LatestSlotCapacityBytes = size_t(1) << 20;
 
 /// Hosts \p RankCount ranks with rank 0 on the calling thread and every
 /// other rank as a forked process. Returns after rank 0's body finished

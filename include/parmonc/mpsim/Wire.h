@@ -14,7 +14,10 @@
 /// little-endian throughout, CRC-32 (the same polynomial the sealed result
 /// files use) over the body. The top bit of the kind byte is the
 /// superseding marker of a Data frame (Message::Supersedes); a frame
-/// without it has the same bytes it always had. The decoder is
+/// without it has the same bytes it always had. A LatestReady frame is a
+/// doorbell: it carries no payload (the message waits in the worker's
+/// shared slot, see SocketTransport.h), and one with a payload or the
+/// superseding marker is rejected as corrupt. The decoder is
 /// incremental — feed it whatever a read() returned and ask for complete
 /// frames — and rejects corruption with a clean Status, mirroring the
 /// short-read rejection discipline of ResultsStore: a truncated,
@@ -44,6 +47,7 @@ enum class FrameKind : uint8_t {
   Stop = 6,           ///< either way: stop request (A = StopReason bits)
   Abort = 7,          ///< root -> child: collector died, skip finalization
   Goodbye = 8,        ///< child -> root: orderly exit + diagnostics payload
+  LatestReady = 9,    ///< child -> root: read rank A's latest-value slot
 };
 
 /// One decoded frame. The three i32 fields are kind-specific (see

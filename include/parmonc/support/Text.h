@@ -57,6 +57,12 @@ bool startsWith(std::string_view Text, std::string_view Prefix);
 /// Reads a whole file into a string.
 [[nodiscard]] Result<std::string> readFileToString(const std::string &Path);
 
+/// Writes \p Contents to \p Path (created or truncated) and fsyncs the
+/// file before returning. No rename and no directory fsync: the caller
+/// publishes the file and makes that durable (see writeFileAtomic).
+[[nodiscard]] Status writeFileSynced(const std::string &Path,
+                                     std::string_view Contents);
+
 /// Writes \p Contents to \p Path atomically and durably (write to a
 /// sibling temp file, fsync, rename, fsync the directory). Used for
 /// save-points so a crash mid-write never corrupts previous results — a

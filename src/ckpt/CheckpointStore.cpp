@@ -78,11 +78,14 @@ CheckpointStore::publishSealed(const std::string &FileName,
     if (std::optional<std::string> Damaged = Interceptor(FinalPath, Sealed))
       Sealed = std::move(*Damaged);
 
-  // Stage, fsync, publish. The staged file lives in its own directory so
-  // a reader enumerating shards/ never sees a partially written file even
-  // on filesystems where rename-over is the only atomic primitive.
-  const std::string StagedPath = stagingDir() + "/" + FileName;
-  if (Status Written = writeFileAtomic(StagedPath, Sealed); !Written)
+  // Stage and fsync, then publish with one rename. The staged file lives
+  // in its own directory so a reader enumerating shards/ never sees a
+  // partially written file even on filesystems where rename-over is the
+  // only atomic primitive. No directory is fsynced here: commit()'s fsync
+  // of shards/ is what makes every publish rename durable, and nothing
+  // needs the staging entry to survive a crash.
+  const std::string StagedPath = stagingDir() + "/" + FileName + ".tmp";
+  if (Status Written = writeFileSynced(StagedPath, Sealed); !Written)
     return Written;
   std::error_code Error;
   std::filesystem::rename(StagedPath, FinalPath, Error);

@@ -198,11 +198,14 @@ void Fabric::shutdown() {
   std::lock_guard<std::mutex> Lock(BarrierMutex);
   BarrierWaiting = 0;
   ++BarrierGeneration;
+  BarrierShutDown = true; // and let later arrivals pass straight through
   BarrierRelease.notify_all();
 }
 
 void Fabric::arriveAtBarrier() {
   std::unique_lock<std::mutex> Lock(BarrierMutex);
+  if (BarrierShutDown)
+    return;
   const uint64_t MyGeneration = BarrierGeneration;
   if (++BarrierWaiting >= rankCount() - DeadRanks) {
     BarrierWaiting = 0;

@@ -18,6 +18,16 @@
 // corrupt stream poisons that worker's decoder and is treated as a death,
 // never as a partial message.
 //
+// Latest-wins subtotals (DESIGN.md §11) bypass the socket: a superseding
+// message from a worker to rank 0 is copied into that worker's shared
+// LatestSlot, and a payload-free LATEST_READY doorbell goes on the socket
+// only while no earlier doorbell is outstanding. The router answers a
+// doorbell by reading the newest complete value (at most once a
+// millisecond per worker), and reads once more when the worker's stream
+// ends, so a subtotal published before a SIGKILL still reaches the
+// collector. Versions the router never read are counted as
+// superseded, exactly as a Mailbox counts the queued ones it replaces.
+//
 //===----------------------------------------------------------------------===//
 
 #include "parmonc/mpsim/SocketTransport.h"
@@ -34,6 +44,7 @@
 #include <thread>
 
 #include <poll.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -41,6 +52,170 @@
 namespace parmonc {
 
 namespace {
+
+//===----------------------------------------------------------------------===//
+// The latest-value slot shared by one worker and the router
+//===----------------------------------------------------------------------===//
+
+static_assert(std::atomic<uint64_t>::is_always_lock_free &&
+                  std::atomic<uint32_t>::is_always_lock_free,
+              "slot atomics must be address-free to work across fork()");
+
+/// One of the slot's two buffers: a seqlock counter (odd while the worker
+/// writes), the message it holds, then LatestSlotCapacityBytes of payload.
+struct alignas(64) SlotBuffer {
+  std::atomic<uint64_t> Sequence{0};
+  uint64_t Version = 0;
+  int32_t Tag = 0;
+  uint32_t Size = 0;
+
+  uint8_t *payload() { return reinterpret_cast<uint8_t *>(this + 1); }
+};
+
+/// A complete value read out of a slot.
+struct SlotValue {
+  uint64_t Version = 0;
+  int32_t Tag = 0;
+  std::vector<uint8_t> Payload;
+};
+
+/// A per-worker MAP_SHARED latest-value register. Version v is written
+/// into buffer v % 2 and then named newest by Latest, so the buffer Latest
+/// names is never the one being written: a worker killed halfway through a
+/// publish leaves the previous complete value readable.
+class LatestSlot {
+public:
+  static constexpr size_t BufferStride =
+      sizeof(SlotBuffer) + LatestSlotCapacityBytes;
+
+  static size_t mappingBytes() {
+    return sizeof(LatestSlot) + 2 * BufferStride;
+  }
+
+  /// Constructs a slot at the start of a fresh mapping of mappingBytes().
+  static LatestSlot *createAt(void *Mapping) {
+    auto *Slot = new (Mapping) LatestSlot;
+    for (int Index = 0; Index < 2; ++Index)
+      new (&Slot->buffer(uint64_t(Index))) SlotBuffer;
+    return Slot;
+  }
+
+  /// Worker side: makes \p Payload (tag \p Tag) the newest value as
+  /// version \p Version, one above the previous publish. Returns true
+  /// when the caller must ring the doorbell.
+  bool publish(uint64_t Version, int32_t Tag,
+               const std::vector<uint8_t> &Payload) {
+    SlotBuffer &Target = buffer(Version);
+    // Seqlock write: the count turns odd with an acquire RMW, so the
+    // writes below cannot move ahead of it, and even again with a release
+    // RMW, which publishes them.
+    Target.Sequence.fetch_add(1, std::memory_order_acquire);
+    Target.Version = Version;
+    Target.Tag = Tag;
+    Target.Size = uint32_t(Payload.size());
+    std::memcpy(Target.payload(), Payload.data(), Payload.size());
+    Target.Sequence.fetch_add(1, std::memory_order_release);
+    Latest.store(Version, std::memory_order_release);
+    // Pending is only ever changed by read-modify-writes (this exchange
+    // and the router's exchange(0) in takeDoorbell), and an RMW always
+    // reads the newest value in the flag's modification order. So:
+    //  - if this exchange reads 1, the doorbell that set it is still
+    //    unconsumed, and the router's later exchange(0) reads a value
+    //    released by this exchange (or a later one of ours): it acquires
+    //    the publish above before it reads the slot;
+    //  - if it reads 0, the router already consumed every earlier doorbell
+    //    and we send a new one, which follows this publish on the socket.
+    // Either way no publish is left without a doorbell that reads it, and
+    // each doorbell precedes, on the socket, every frame the worker sends
+    // after the publish. A plain load and store could read a stale 1 and
+    // strand the newest value until the stream ends.
+    return Pending.exchange(1, std::memory_order_acq_rel) == 0;
+  }
+
+  /// Router side: consumes the outstanding doorbell. The acquire half of
+  /// this exchange is what makes the publishes it covers visible.
+  void takeDoorbell() { (void)Pending.exchange(0, std::memory_order_acq_rel); }
+
+  /// Router side: copies the newest complete value, or returns nothing
+  /// when the worker never published or kept overwriting the buffer
+  /// being read. A torn read means a publish ran concurrently with it; that
+  /// publish rings its own doorbell (see publish()), or, if the worker
+  /// died in it, the previous value is read at end of stream.
+  std::optional<SlotValue> readNewest() {
+    for (int Attempt = 0; Attempt < 4; ++Attempt) {
+      const uint64_t Newest = Latest.load(std::memory_order_acquire);
+      if (Newest == 0)
+        return std::nullopt;
+      SlotBuffer &Source = buffer(Newest);
+      const uint64_t Before = Source.Sequence.load(std::memory_order_acquire);
+      if (Before & 1)
+        continue;
+      SlotValue Value;
+      Value.Version = Source.Version;
+      Value.Tag = Source.Tag;
+      const size_t Size =
+          std::min<size_t>(Source.Size, LatestSlotCapacityBytes);
+      Value.Payload.assign(Source.payload(), Source.payload() + Size);
+      // The recheck is a release RMW that changes nothing: the copy above
+      // cannot move after it, as it could past a plain load.
+      if (Source.Sequence.fetch_add(0, std::memory_order_release) == Before &&
+          Value.Version >= Newest)
+        return Value;
+    }
+    return std::nullopt;
+  }
+
+private:
+  LatestSlot() = default;
+
+  SlotBuffer &buffer(uint64_t Version) {
+    auto *Base = reinterpret_cast<uint8_t *>(this + 1);
+    return *reinterpret_cast<SlotBuffer *>(Base +
+                                           (Version % 2) * BufferStride);
+  }
+
+  /// Version of the newest complete value; 0 before the first publish.
+  alignas(64) std::atomic<uint64_t> Latest{0};
+  /// 1 while a doorbell is on its way to, or queued at, the router.
+  alignas(64) std::atomic<uint32_t> Pending{0};
+};
+
+static_assert(sizeof(LatestSlot) % alignof(SlotBuffer) == 0 &&
+                  LatestSlot::BufferStride % alignof(SlotBuffer) == 0,
+              "slot buffers must stay aligned");
+
+/// Maps one slot per worker rank before the first fork, so every child
+/// inherits the same shared pages. Unmapped by the destructor (in the
+/// parent; children leave through _exit).
+class SlotTable {
+public:
+  explicit SlotTable(int RankCount) : Slots(size_t(RankCount), nullptr) {}
+  ~SlotTable() {
+    for (LatestSlot *Slot : Slots)
+      if (Slot)
+        ::munmap(Slot, LatestSlot::mappingBytes());
+  }
+  SlotTable(const SlotTable &) = delete;
+  SlotTable &operator=(const SlotTable &) = delete;
+
+  Status map() {
+    for (size_t Rank = 1; Rank < Slots.size(); ++Rank) {
+      void *Mapping = ::mmap(nullptr, LatestSlot::mappingBytes(),
+                             PROT_READ | PROT_WRITE,
+                             MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+      if (Mapping == MAP_FAILED)
+        return ioError(std::string("mmap() of a latest-value slot failed: ") +
+                       std::strerror(errno));
+      Slots[Rank] = LatestSlot::createAt(Mapping);
+    }
+    return Status::ok();
+  }
+
+  LatestSlot &of(int Rank) { return *Slots[size_t(Rank)]; }
+
+private:
+  std::vector<LatestSlot *> Slots;
+};
 
 /// Writes the whole buffer, retrying on EINTR and short writes; suppresses
 /// SIGPIPE so a dead peer surfaces as an error, not a process kill.
@@ -92,10 +267,10 @@ std::vector<uint8_t> encodeGoodbye(int64_t FailedSends, int64_t MessagesSent,
 /// across transports.
 class ChildCommunicator final : public Communicator {
 public:
-  ChildCommunicator(int Rank, int Size, int Fd,
+  ChildCommunicator(int Rank, int Size, int Fd, LatestSlot &Slot,
                     const EngineOptions &Options)
-      : Rank(Rank), RankCount(Size), Fd(Fd), Hook(Options.FaultHook),
-        FaultClock(Options.FaultClock) {}
+      : Rank(Rank), RankCount(Size), Fd(Fd), Slot(Slot),
+        Hook(Options.FaultHook), FaultClock(Options.FaultClock) {}
 
   void start() {
     Frame Hello;
@@ -247,7 +422,34 @@ private:
       Inbox.push(toMessage(std::move(Outgoing)));
       return;
     }
+    if (Outgoing.B == 0 && Outgoing.Supersedes && publishLatest(Outgoing))
+      return;
     writeFrame(Outgoing);
+  }
+
+  /// Hands a superseding rank-0 message to the slot instead of the socket
+  /// and rings the doorbell if none is outstanding. The slot serves the
+  /// first superseding tag only; other tags, and — from the first one on —
+  /// payloads larger than the slot, keep to the socket, so each tag's
+  /// messages still reach the router in send order. Returns false when the
+  /// frame must go on the socket.
+  bool publishLatest(const Frame &Outgoing) {
+    std::lock_guard<std::mutex> Lock(SlotMutex);
+    if (SlotTag < 0 && !SlotRetired)
+      SlotTag = Outgoing.C;
+    if (SlotRetired || Outgoing.C != SlotTag)
+      return false;
+    if (Outgoing.Payload.size() > LatestSlotCapacityBytes) {
+      SlotRetired = true;
+      return false;
+    }
+    if (Slot.publish(++SlotVersion, Outgoing.C, Outgoing.Payload)) {
+      Frame Doorbell;
+      Doorbell.Kind = FrameKind::LatestReady;
+      Doorbell.A = Rank;
+      writeFrame(Doorbell);
+    }
+    return true;
   }
 
   void pumpDelayedFrames() {
@@ -341,12 +543,18 @@ private:
   const int Rank;
   const int RankCount;
   const int Fd;
+  LatestSlot &Slot;
   const SendFaultHook Hook;
   const Clock *FaultClock;
 
   Mailbox Inbox;
   std::mutex WriteMutex;
   std::thread Reader;
+
+  std::mutex SlotMutex;
+  int32_t SlotTag = -1;     // the superseding tag the slot serves
+  bool SlotRetired = false; // an oversized payload sent it to the socket
+  uint64_t SlotVersion = 0; // versions published so far
 
   std::atomic<bool> StopFlag{false};
   std::atomic<uint8_t> StopBits{0};
@@ -410,6 +618,8 @@ struct RouterState {
   std::vector<ProcessRankStatus> Diagnostics;
   std::vector<std::unique_ptr<std::mutex>> WriteMutexes;
 
+  SlotTable *Slots = nullptr;
+  obs::MetricsRegistry *Metrics = nullptr;
   obs::Counter *FramesRouted = nullptr;
   obs::Counter *BytesRouted = nullptr;
   obs::Counter *UnexpectedExits = nullptr;
@@ -668,8 +878,56 @@ void routerMain(RouterState &State) {
     if (State.ChildFd[size_t(Rank)] < 0)
       StreamDone[size_t(Rank)] = true;
 
+  // Per worker, the newest slot version already handed to rank 0.
+  std::vector<uint64_t> SlotDelivered(size_t(State.RankCount), 0);
+  // A worker's slot is read at most once per SlotReadIntervalNanos. A
+  // doorbell that comes sooner is held: its Pending flag stays set, so the
+  // worker rings no more, and it is serviced once the interval has passed
+  // or before the next frame of that worker, which keeps send order.
+  constexpr int64_t SlotReadIntervalNanos = 1'000'000;
+  const auto steadyNanos = [] {
+    return int64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                       std::chrono::steady_clock::now().time_since_epoch())
+                       .count());
+  };
+  std::vector<int64_t> NextSlotRead(size_t(State.RankCount), 0);
+  std::vector<bool> DoorbellHeld(size_t(State.RankCount), false);
+  auto drainSlot = [&](int Rank) {
+    std::optional<SlotValue> Newest = State.Slots->of(Rank).readNewest();
+    uint64_t &Delivered = SlotDelivered[size_t(Rank)];
+    if (!Newest || Newest->Version <= Delivered)
+      return;
+    // Every version between the last delivered one and this one was
+    // replaced before anyone read it: the slot's share of latest-wins.
+    const uint64_t Skipped = Newest->Version - Delivered - 1;
+    Delivered = Newest->Version;
+    if (Skipped > 0 && State.Metrics)
+      State.Metrics->counter("comm.messages_superseded").add(int64_t(Skipped));
+    if (State.BytesRouted)
+      State.BytesRouted->add(int64_t(Newest->Payload.size()));
+    State.BytesTransferred.fetch_add(Newest->Payload.size(),
+                                     std::memory_order_relaxed);
+    Frame Subtotal;
+    Subtotal.A = Rank;
+    Subtotal.C = Newest->Tag;
+    Subtotal.Payload = std::move(Newest->Payload);
+    Subtotal.Supersedes = true;
+    State.deliverToRoot(std::move(Subtotal));
+  };
+  auto answerDoorbell = [&](int Rank) {
+    DoorbellHeld[size_t(Rank)] = false;
+    State.Slots->of(Rank).takeDoorbell();
+    drainSlot(Rank);
+    NextSlotRead[size_t(Rank)] = steadyNanos() + SlotReadIntervalNanos;
+  };
+
   auto handleDeath = [&](int Rank) {
     StreamDone[size_t(Rank)] = true;
+    // The stream has ended, so nothing more will be published: hand over
+    // the last complete value, as a subtotal already queued in the socket
+    // would have been — before the death is declared.
+    DoorbellHeld[size_t(Rank)] = false;
+    drainSlot(Rank);
     if (!State.GoodbyeSeen[size_t(Rank)]) {
       // Died without the orderly-shutdown frame: a real crash. Keep the
       // run alive — drop the rank from barriers so survivors rendezvous
@@ -685,6 +943,8 @@ void routerMain(RouterState &State) {
   auto dispatch = [&](int Source, Frame &&Incoming) {
     if (State.FramesRouted)
       State.FramesRouted->add();
+    if (DoorbellHeld[size_t(Source)])
+      answerDoorbell(Source); // what the worker published came first
     switch (Incoming.Kind) {
     case FrameKind::Hello:
       break; // liveness is implied by the open stream
@@ -697,6 +957,12 @@ void routerMain(RouterState &State) {
         State.deliverToRoot(std::move(Incoming));
       else
         State.writeToRank(Incoming.B, encodeFrame(Incoming));
+      break;
+    case FrameKind::LatestReady:
+      if (steadyNanos() >= NextSlotRead[size_t(Source)])
+        answerDoorbell(Source);
+      else
+        DoorbellHeld[size_t(Source)] = true;
       break;
     case FrameKind::BarrierArrive: {
       std::lock_guard<std::mutex> Lock(State.Mutex);
@@ -754,7 +1020,19 @@ void routerMain(RouterState &State) {
     }
     if (Polled.empty())
       return; // every worker stream closed: the run is over
-    const int Ready = ::poll(Polled.data(), nfds_t(Polled.size()), 100);
+    // Wake for the earliest held doorbell, or every 100 ms.
+    int64_t WakeNanos = steadyNanos() + 100'000'000;
+    for (int Rank = 1; Rank < State.RankCount; ++Rank)
+      if (DoorbellHeld[size_t(Rank)])
+        WakeNanos = std::min(WakeNanos, NextSlotRead[size_t(Rank)]);
+    const int TimeoutMillis = int(std::max<int64_t>(
+        0, (WakeNanos - steadyNanos() + 999'999) / 1'000'000));
+    const int Ready =
+        ::poll(Polled.data(), nfds_t(Polled.size()), TimeoutMillis);
+    for (int Rank = 1; Rank < State.RankCount; ++Rank)
+      if (DoorbellHeld[size_t(Rank)] &&
+          steadyNanos() >= NextSlotRead[size_t(Rank)])
+        answerDoorbell(Rank);
     if (Ready < 0) {
       if (errno == EINTR)
         continue;
@@ -801,6 +1079,11 @@ runProcessEngine(int RankCount,
     return invalidArgument("engine needs at least one rank");
 
   RouterState State(RankCount);
+  SlotTable Slots(RankCount);
+  if (Status Mapped = Slots.map(); !Mapped)
+    return Mapped;
+  State.Slots = &Slots;
+  State.Metrics = Options.Metrics;
   if (Options.Metrics) {
     State.FramesRouted = &Options.Metrics->counter("transport.frames_routed");
     State.BytesRouted = &Options.Metrics->counter("transport.bytes_routed");
@@ -856,7 +1139,7 @@ runProcessEngine(int RankCount,
           ::close(Pairs[size_t(Other)][1]);
       }
       ChildCommunicator Self(Rank, RankCount, Pairs[size_t(Rank)][1],
-                             Options);
+                             Slots.of(Rank), Options);
       Self.start();
       Body(Self);
       Self.sendGoodbye();

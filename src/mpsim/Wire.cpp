@@ -32,7 +32,7 @@ uint32_t readU32(const uint8_t *Data) {
 
 bool knownFrameKind(uint8_t Kind) {
   return Kind >= uint8_t(FrameKind::Hello) &&
-         Kind <= uint8_t(FrameKind::Goodbye);
+         Kind <= uint8_t(FrameKind::LatestReady);
 }
 
 } // namespace
@@ -111,6 +111,10 @@ Result<std::optional<Frame>> FrameDecoder::next() {
   if (!knownFrameKind(Kind) ||
       (Supersedes && Kind != uint8_t(FrameKind::Data))) {
     Poisoned = parseError("unknown frame kind " + std::to_string(Body[0]));
+    return Poisoned;
+  }
+  if (Kind == uint8_t(FrameKind::LatestReady) && BodyLen != BodyPrefixBytes) {
+    Poisoned = parseError("LatestReady doorbell carries a payload");
     return Poisoned;
   }
 

@@ -135,16 +135,11 @@ Result<std::string> readFileToString(const std::string &Path) {
   return Contents.str();
 }
 
-Status writeFileAtomic(const std::string &Path, std::string_view Contents) {
-  // Crash-safe sequence: write a sibling temp file, fsync it, rename over
-  // the destination, then fsync the directory so the rename itself is
-  // durable. A crash at any point leaves either the old file or the new
-  // one — never a torn mixture (checkpoint resumption depends on this).
-  const std::string TempPath = Path + ".tmp";
+Status writeFileSynced(const std::string &Path, std::string_view Contents) {
   const int FileDescriptor =
-      ::open(TempPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+      ::open(Path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (FileDescriptor < 0)
-    return ioError("cannot open '" + TempPath +
+    return ioError("cannot open '" + Path +
                    "' for writing: " + std::strerror(errno));
   size_t Written = 0;
   while (Written < Contents.size()) {
@@ -155,18 +150,29 @@ Status writeFileAtomic(const std::string &Path, std::string_view Contents) {
         continue;
       const std::string Reason = std::strerror(errno);
       ::close(FileDescriptor);
-      return ioError("write failure on '" + TempPath + "': " + Reason);
+      return ioError("write failure on '" + Path + "': " + Reason);
     }
     Written += size_t(Count);
   }
   if (::fsync(FileDescriptor) != 0) {
     const std::string Reason = std::strerror(errno);
     ::close(FileDescriptor);
-    return ioError("fsync failure on '" + TempPath + "': " + Reason);
+    return ioError("fsync failure on '" + Path + "': " + Reason);
   }
   if (::close(FileDescriptor) != 0)
-    return ioError("close failure on '" + TempPath +
+    return ioError("close failure on '" + Path +
                    "': " + std::strerror(errno));
+  return Status::ok();
+}
+
+Status writeFileAtomic(const std::string &Path, std::string_view Contents) {
+  // Crash-safe sequence: write a sibling temp file, fsync it, rename over
+  // the destination, then fsync the directory so the rename itself is
+  // durable. A crash at any point leaves either the old file or the new
+  // one — never a torn mixture (checkpoint resumption depends on this).
+  const std::string TempPath = Path + ".tmp";
+  if (Status Synced = writeFileSynced(TempPath, Contents); !Synced)
+    return Synced;
   std::error_code Error;
   std::filesystem::rename(TempPath, Path, Error);
   if (Error)

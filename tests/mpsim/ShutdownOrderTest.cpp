@@ -88,6 +88,17 @@ TEST(ShutdownOrder, FabricShutdownReleasesBarrierWaiters) {
   EXPECT_TRUE(Net.stopRequested());
 }
 
+TEST(ShutdownOrder, BarrierArrivalAfterShutdownPassesThrough) {
+  // A rank thread that only reaches the barrier once the fabric is down
+  // (a slow start on a loaded host) must not wait for peers that are gone.
+  Fabric Net(3);
+  Net.shutdown();
+  Net.arriveAtBarrier();
+  FabricCommunicator Late(Net, 1);
+  Late.barrier();
+  EXPECT_TRUE(Net.stopRequested());
+}
+
 TEST(ShutdownOrder, RanksJoinableInAdversarialOrders) {
   // Three ranks wedged in the three different blocking states — receive,
   // barrier, send-then-receive — torn down and joined in every
