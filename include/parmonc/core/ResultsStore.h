@@ -37,6 +37,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace parmonc {
@@ -155,6 +156,14 @@ public:
   /// either the old sealed file or the new one, never a torn mix.
   [[nodiscard]] Status writeSnapshot(const std::string &Path,
                        const MomentSnapshot &Snapshot) const;
+
+  /// writeSnapshot for a body already rendered by
+  /// MomentSnapshot::toFileContents, so one rendering can feed several
+  /// files (a rank's subtotal file and its checkpoint shard). The
+  /// "store.snapshot_write" latency covers sealing, rotation and the
+  /// atomic write, not the rendering.
+  [[nodiscard]] Status writeSnapshotBody(const std::string &Path,
+                                         std::string_view Body) const;
 
   /// Reads one snapshot file, verifying the seal when present (files from
   /// before the seal era still load). A corrupted file is an IoError and

@@ -43,6 +43,10 @@ uint32_t crc32(std::string_view Bytes);
 /// `mul128Portable` oracles the `__int128` multiply.
 uint32_t crc32Portable(std::string_view Bytes);
 
+/// Eight lowercase hex digits: the one spelling of a CRC-32 in every file
+/// the library writes (seal lines, manifests, the experiment registry).
+std::string formatCrc32Hex(uint32_t Crc);
+
 /// Prepends the seal line for \p Body and returns the sealed file contents.
 std::string sealFileContents(std::string_view Body);
 

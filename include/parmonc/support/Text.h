@@ -7,7 +7,11 @@
 /// \file
 /// Formatting and parsing helpers shared by the result-file writer, the CLI
 /// tools and the benches. All number formatting funnels through here so the
-/// on-disk formats stay byte-stable across the codebase.
+/// on-disk formats stay byte-stable across the codebase. Numbers are
+/// rendered by std::to_chars with an explicit precision, which produces
+/// exactly the bytes printf's "%.*e" / "%.*f" did (a differential test
+/// against snprintf pins this), so every result, snapshot and checkpoint
+/// file is byte-identical to the ones earlier versions wrote.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +33,13 @@ namespace parmonc {
 /// doubles exactly at Precision >= 17.
 std::string formatScientific(double Value, int Precision = 17);
 
-/// Formats \p Value with a fixed number of decimals, for human-facing logs.
+/// Appends formatScientific(Value, Precision) to \p Out without building a
+/// temporary string; the loops that render thousands of numbers into one
+/// file body use this.
+void appendScientific(std::string &Out, double Value, int Precision = 17);
+
+/// Formats \p Value with a fixed number of decimals (0-17), for
+/// human-facing logs. Every integer digit is kept, up to DBL_MAX's 309.
 std::string formatFixed(double Value, int Decimals);
 
 /// Parses a double. Fails on trailing garbage or empty input.
@@ -64,7 +74,8 @@ bool startsWith(std::string_view Text, std::string_view Prefix);
                                      std::string_view Contents);
 
 /// Writes \p Contents to \p Path atomically and durably (write to a
-/// sibling temp file, fsync, rename, fsync the directory). Used for
+/// sibling temp file, fsync, rename, fsync the directory; a failed
+/// directory fsync is returned even though the rename landed). Used for
 /// save-points so a crash mid-write never corrupts previous results — a
 /// requirement for the paper's resumption feature.
 [[nodiscard]] Status writeFileAtomic(const std::string &Path, std::string_view Contents);
@@ -75,13 +86,14 @@ bool startsWith(std::string_view Text, std::string_view Prefix);
 [[nodiscard]] Status fsyncFile(const std::string &Path);
 
 /// Fsyncs the directory at \p Path so completed renames and creates
-/// inside it survive power loss. Best effort where directories cannot be
-/// opened for reading; never fails the caller for that — returns a Status
-/// only for a genuinely missing directory.
+/// inside it survive power loss. Filesystems that cannot fsync a directory
+/// (EINVAL, EROFS) are ok; a missing directory or any other fsync failure
+/// (EIO, ENOSPC, ...) is an IoError.
 [[nodiscard]] Status fsyncDirectory(const std::string &Path);
 
 /// Appends \p Line to \p Path durably: O_APPEND write of the whole line
-/// in one call, then fsync. Unlike writeFileAtomic this never rewrites
+/// in one call, then fsync (and, for a newly created file, fsync its
+/// directory). Unlike writeFileAtomic this never rewrites
 /// existing content, so concurrent appenders and crash-interrupted
 /// appends can at worst leave one torn *trailing* line — which per-line
 /// checksums (see ResultsStore::appendExperimentLog) make detectable.

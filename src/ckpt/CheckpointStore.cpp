@@ -162,7 +162,10 @@ Status CheckpointStore::commit(const CommitRequest &Request) const {
                      "': " + RotateError.message());
     }
     // Make the rotation durable before the new manifest can land: power
-    // loss must never leave a new manifest without its fallback.
+    // loss must never leave a new manifest without its fallback. Best
+    // effort here: writeFileAtomic below syncs the same directory after
+    // the manifest rename and fails the commit on a real error, so
+    // ignoring one here loses no error.
     (void)fsyncDirectory(Root);
   }
   std::string Sealed = sealFileContents(Record.toFileContents());

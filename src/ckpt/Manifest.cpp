@@ -6,22 +6,13 @@
 
 #include "parmonc/ckpt/Manifest.h"
 
+#include "parmonc/support/Checksum.h"
 #include "parmonc/support/Text.h"
 
 #include <algorithm>
 
 namespace parmonc {
 namespace ckpt {
-
-/// Lower-case hex, fixed 8 digits — the same spelling the seal line uses,
-/// so the two CRC encodings in a checkpoint tree read identically.
-static std::string formatCrcHex(uint32_t Crc) {
-  static const char Digits[] = "0123456789abcdef";
-  std::string Text(8, '0');
-  for (int Nibble = 0; Nibble < 8; ++Nibble)
-    Text[size_t(7 - Nibble)] = Digits[(Crc >> (4 * Nibble)) & 0xF];
-  return Text;
-}
 
 static Result<uint32_t> parseCrcHex(std::string_view Text) {
   if (Text.size() != 8)
@@ -50,7 +41,7 @@ static bool isSafeShardFileName(std::string_view Name) {
 }
 
 static std::string formatEntryFields(const ShardEntry &Entry) {
-  return Entry.File + " crc " + formatCrcHex(Entry.Crc) + " bytes " +
+  return Entry.File + " crc " + formatCrc32Hex(Entry.Crc) + " bytes " +
          std::to_string(Entry.Bytes) + " volume " +
          std::to_string(Entry.Volume);
 }

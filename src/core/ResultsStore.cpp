@@ -17,30 +17,45 @@
 
 namespace parmonc {
 
+// A "%.17e" number plus its separator: "-d.<17 digits>e-308 ".
+static constexpr size_t ScientificFieldChars = 26;
+
 std::string MomentSnapshot::toFileContents() const {
+  const std::vector<double> &Sums = Moments.valueSums();
+  const std::vector<double> &Squares = Moments.squareSums();
   std::string Text;
+  Text.reserve(256 + ScientificFieldChars * (Sums.size() + Squares.size()));
   Text += "# PARMONC moment snapshot: raw sums, full precision\n";
   Text += "seqnum " + std::to_string(SequenceNumber) + "\n";
   Text += "shape " + std::to_string(Moments.rows()) + " " +
           std::to_string(Moments.columns()) + "\n";
   Text += "volume " + std::to_string(Moments.sampleVolume()) + "\n";
-  Text += "compute_seconds " + formatScientific(ComputeSeconds) + "\n";
-  Text += "sums";
-  for (double Sum : Moments.valueSums())
-    Text += " " + formatScientific(Sum);
+  Text += "compute_seconds ";
+  appendScientific(Text, ComputeSeconds);
+  Text += "\nsums";
+  for (double Sum : Sums) {
+    Text += ' ';
+    appendScientific(Text, Sum);
+  }
   Text += "\nsquares";
-  for (double Square : Moments.squareSums())
-    Text += " " + formatScientific(Square);
-  Text += "\n";
+  for (double Square : Squares) {
+    Text += ' ';
+    appendScientific(Text, Square);
+  }
+  Text += '\n';
   for (const HistogramEstimator &Histogram : Histograms) {
-    Text += "histogram " + formatScientific(Histogram.low()) + " " +
-            formatScientific(Histogram.high()) + " " +
-            std::to_string(Histogram.binCount()) + " " +
-            std::to_string(Histogram.underflowCount()) + " " +
+    Text += "histogram ";
+    appendScientific(Text, Histogram.low());
+    Text += ' ';
+    appendScientific(Text, Histogram.high());
+    Text += ' ' + std::to_string(Histogram.binCount()) + ' ' +
+            std::to_string(Histogram.underflowCount()) + ' ' +
             std::to_string(Histogram.overflowCount());
-    for (size_t Index = 0; Index < Histogram.binCount(); ++Index)
-      Text += " " + std::to_string(Histogram.countOf(Index));
-    Text += "\n";
+    for (size_t Index = 0; Index < Histogram.binCount(); ++Index) {
+      Text += ' ';
+      Text += std::to_string(Histogram.countOf(Index));
+    }
+    Text += '\n';
   }
   return Text;
 }
@@ -321,8 +336,13 @@ void ResultsStore::setFaultInjector(fault::FaultInjector *Injector) {
 
 Status ResultsStore::writeSnapshot(const std::string &Path,
                                    const MomentSnapshot &Snapshot) const {
+  return writeSnapshotBody(Path, Snapshot.toFileContents());
+}
+
+Status ResultsStore::writeSnapshotBody(const std::string &Path,
+                                       std::string_view Body) const {
   const int64_t Start = Time ? Time->nowNanos() : 0;
-  std::string Contents = sealFileContents(Snapshot.toFileContents());
+  std::string Contents = sealFileContents(Body);
   if (Injector)
     if (std::optional<std::string> Damaged =
             // mclint: allow(R8): fault-injection seam; the injector is
@@ -339,7 +359,10 @@ Status ResultsStore::writeSnapshot(const std::string &Path,
     if (!RotateError) {
       // Persist the rotation before the replace lands: after a power cut
       // mid-save the .prev generation must actually be on disk, or the
-      // fallback ladder has nothing to stand on.
+      // fallback ladder has nothing to stand on. This fsync stays best
+      // effort, like the rotation it follows: writeFileAtomic below syncs
+      // the same directory after its rename and returns a real failure,
+      // so ignoring one here loses no error.
       const std::string Parent =
           std::filesystem::path(Path).parent_path().string();
       (void)fsyncDirectory(Parent.empty() ? "." : Parent);
@@ -414,13 +437,14 @@ Status ResultsStore::writeResults(const EstimatorMatrix &Merged,
 
   // func.dat: one row of the mean matrix per line.
   std::string MeansText;
+  MeansText.reserve(ScientificFieldChars * Means.size());
   for (size_t Row = 0; Row < Merged.rows(); ++Row) {
     for (size_t Column = 0; Column < Merged.columns(); ++Column) {
       if (Column > 0)
-        MeansText += " ";
-      MeansText += formatScientific(Means[Row * Merged.columns() + Column]);
+        MeansText += ' ';
+      appendScientific(MeansText, Means[Row * Merged.columns() + Column]);
     }
-    MeansText += "\n";
+    MeansText += '\n';
   }
   if (Status Written =
           writeFileAtomic(meansPath(), sealFileContents(MeansText));
@@ -428,17 +452,21 @@ Status ResultsStore::writeResults(const EstimatorMatrix &Merged,
     return Written;
 
   // func_ci.dat: one entry per line with all four statistics.
-  std::string ConfidenceText =
-      "# row col mean abs_error rel_error_percent variance\n";
+  std::string ConfidenceText;
+  ConfidenceText.reserve(64 + (16 + 4 * ScientificFieldChars) * Means.size());
+  ConfidenceText += "# row col mean abs_error rel_error_percent variance\n";
   for (size_t Row = 0; Row < Merged.rows(); ++Row) {
     for (size_t Column = 0; Column < Merged.columns(); ++Column) {
       const size_t Index = Row * Merged.columns() + Column;
-      ConfidenceText += std::to_string(Row + 1) + " " +
-                        std::to_string(Column + 1) + " " +
-                        formatScientific(Means[Index]) + " " +
-                        formatScientific(AbsoluteErrors[Index]) + " " +
-                        formatScientific(RelativeErrors[Index]) + " " +
-                        formatScientific(Variances[Index]) + "\n";
+      ConfidenceText += std::to_string(Row + 1);
+      ConfidenceText += ' ';
+      ConfidenceText += std::to_string(Column + 1);
+      for (double Value : {Means[Index], AbsoluteErrors[Index],
+                           RelativeErrors[Index], Variances[Index]}) {
+        ConfidenceText += ' ';
+        appendScientific(ConfidenceText, Value);
+      }
+      ConfidenceText += '\n';
     }
   }
   if (Status Written = writeFileAtomic(confidencePath(),
@@ -469,17 +497,6 @@ Status ResultsStore::writeResults(const EstimatorMatrix &Merged,
   LogText += std::string("resumed_from_backup ") +
              (Log.ResumedFromBackup ? "1" : "0") + "\n";
   return writeFileAtomic(logPath(), sealFileContents(LogText));
-}
-
-/// Eight lowercase hex digits, the same rendering the file seals use.
-static std::string formatCrc32(uint32_t Value) {
-  static const char Digits[] = "0123456789abcdef";
-  std::string Text(8, '0');
-  for (int Index = 7; Index >= 0; --Index) {
-    Text[Index] = Digits[Value & 0xF];
-    Value >>= 4;
-  }
-  return Text;
 }
 
 /// Parses exactly eight lowercase/uppercase hex digits.
@@ -514,7 +531,7 @@ Status ResultsStore::appendExperimentLog(const RunLogInfo &Log) const {
   // Per-line CRC over everything before the suffix: the whole-file seal
   // does not fit an append-only registry, but a torn or rotted line must
   // still be detectable on load.
-  Line += " crc " + formatCrc32(crc32(Line));
+  Line += " crc " + formatCrc32Hex(crc32(Line));
   // Durable O_APPEND write: the registry accumulates one line per started
   // experiment across the directory's lifetime, and a crash mid-append can
   // tear at most the line being written — which the CRC then catches.

@@ -210,7 +210,11 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
   if (Config.CheckpointShards)
     if (Status Prepared = Ckpt.prepareDirectories(); !Prepared)
       return Prepared;
-  if (Status Written = Store.writeSnapshot(Store.basePath(), Base); !Written)
+  // Base is frozen from here on: render it once for base.dat and for the
+  // merged-base shard every sharded commit references.
+  const std::string BaseBody = Base.toFileContents();
+  if (Status Written = Store.writeSnapshotBody(Store.basePath(), BaseBody);
+      !Written)
     return Written;
 
   RunLogInfo StartLog;
@@ -236,11 +240,6 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
       CollectorFailure = std::move(Failure);
   };
   RunReport Report;
-
-  // The merged-base shard every sharded commit references. Base is frozen
-  // after the resume block, so serialize it once.
-  const std::string BaseFileBody =
-      Config.CheckpointShards ? Base.toFileContents() : std::string();
 
   // Background checkpoint writer (rank 0, parent process only): created
   // lazily at body entry, wound down after the engine returns so every
@@ -367,7 +366,7 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
       Request.Generation = Collector.SavePointCount + 1;
       Request.SequenceNumber = Config.SequenceNumber;
       Request.RankCount = RankCount;
-      Request.BaseBody = BaseFileBody;
+      Request.BaseBody = BaseBody;
       Request.BaseVolume = Base.Moments.sampleVolume();
       Request.KeepShards = Config.CheckpointKeepShards;
       for (size_t Rank = 0; Rank < size_t(RankCount); ++Rank)
@@ -512,10 +511,10 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
       if (Rank == 0)
         keepFailure(std::move(Failure));
     };
-    // The §3.4 subtotal file manaver recovers from.
-    auto persistSubtotal = [&](const MomentSnapshot &Subtotal) {
-      if (Status Written = Store.writeSnapshot(Store.subtotalPath(Rank),
-                                               Subtotal);
+    // The §3.4 subtotal file manaver recovers from, from a rendered body.
+    auto persistSubtotal = [&](std::string_view Body) {
+      if (Status Written =
+              Store.writeSnapshotBody(Store.subtotalPath(Rank), Body);
           !Written)
         noteWriteFailure("runner.subtotal_write_failures", Written);
     };
@@ -529,7 +528,9 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
       // moment of the last saving".
       const int64_t Now = Time.nowNanos();
       if (Tag == TagFinal || Now - LastPersistNanos >= PersistPeriodNanos) {
-        persistSubtotal(Local);
+        // One rendering feeds both the subtotal file and the shard.
+        const std::string Body = Local.toFileContents();
+        persistSubtotal(Body);
         if (Config.CheckpointShards) {
           // Publish this rank's cumulative shard at subtotal-persist
           // cadence and tell rank 0 where it landed. Shard freshness thus
@@ -539,8 +540,7 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
           // On failure the manifest just references the previous shard.
           Result<ckpt::ShardEntry> Written =
               Ckpt.writeShard(Rank, Config.SequenceNumber, ++ShardWriteIndex,
-                              Local.toFileContents(),
-                              Local.Moments.sampleVolume());
+                              Body, Local.Moments.sampleVolume());
           if (Written) {
             ByteWriter ShardMsg;
             ShardMsg.writeI64(ShardWriteIndex);
@@ -685,7 +685,7 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
         if (Crash && Done >= Crash->AfterRealizations) {
           foldTally(Rank, Tally);
           if (Crash->PersistBeforeCrash)
-            persistSubtotal(Acc);
+            persistSubtotal(Acc.toFileContents());
           Injector->noteWorkerCrashed(Rank);
           if (Crash->RaiseKillSignal)
             Comm.crashHard(); // SIGKILL the worker process: a real node loss

@@ -9,7 +9,6 @@
 #include "parmonc/support/Text.h"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace parmonc {
 namespace obs {
@@ -103,8 +102,11 @@ std::string MetricsSnapshot::toFileContents() const {
   Text += "# PARMONC metrics snapshot\n";
   for (const auto &[Name, Value] : Counters)
     Text += "counter " + Name + " " + std::to_string(Value) + "\n";
-  for (const auto &[Name, Value] : Gauges)
-    Text += "gauge " + Name + " " + formatScientific(Value) + "\n";
+  for (const auto &[Name, Value] : Gauges) {
+    Text += "gauge " + Name + " ";
+    appendScientific(Text, Value);
+    Text += '\n';
+  }
   for (const LatencySummary &Summary : Latencies) {
     Text += "latency " + Summary.Name + " " +
             std::to_string(Summary.Count) + " " +
@@ -193,10 +195,10 @@ static std::string jsonEscape(std::string_view Text) {
       break;
     default:
       if (static_cast<unsigned char>(Character) < 0x20) {
-        char Buffer[8];
-        std::snprintf(Buffer, sizeof(Buffer), "\\u%04x",
-                      unsigned(static_cast<unsigned char>(Character)));
-        Escaped += Buffer;
+        static const char Digits[] = "0123456789abcdef";
+        Escaped += "\\u00";
+        Escaped += Digits[(Character >> 4) & 0xF];
+        Escaped += Digits[Character & 0xF];
       } else {
         Escaped += Character;
       }
@@ -219,7 +221,8 @@ std::string MetricsSnapshot::toJson() const {
   for (const auto &[Name, Value] : Gauges) {
     if (!First)
       Json += ",";
-    Json += "\"" + jsonEscape(Name) + "\":" + formatScientific(Value);
+    Json += "\"" + jsonEscape(Name) + "\":";
+    appendScientific(Json, Value);
     First = false;
   }
   Json += "},\"latencies\":{";
@@ -282,9 +285,11 @@ std::string MetricsSnapshot::toPrettyText() const {
   }
   if (!Gauges.empty()) {
     Text += "gauges:\n";
-    for (const auto &[Name, Value] : Gauges)
-      Text += "  " + padTo(Name, NameWidth) + formatScientific(Value, 6) +
-              "\n";
+    for (const auto &[Name, Value] : Gauges) {
+      Text += "  " + padTo(Name, NameWidth);
+      appendScientific(Text, Value, 6);
+      Text += '\n';
+    }
   }
   if (!Latencies.empty()) {
     Text += "latencies:\n";

@@ -7,7 +7,6 @@
 #include "parmonc/obs/Trace.h"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace parmonc {
 namespace obs {
@@ -43,14 +42,21 @@ size_t TraceWriter::eventCount() const {
   return Events.size();
 }
 
-/// Chrome expects microseconds; render nanos as "<us>.<3 digits>" so the
-/// output is byte-stable and loses nothing.
-static std::string formatMicros(int64_t Nanos) {
-  char Buffer[40];
-  std::snprintf(Buffer, sizeof(Buffer), "%lld.%03lld",
-                static_cast<long long>(Nanos / 1000),
-                static_cast<long long>(Nanos % 1000));
-  return Buffer;
+/// Chrome expects microseconds; appends nanos as "<us>.<3 digits>" (the
+/// printf "%lld.%03lld" spelling of the quotient and remainder, sign and
+/// all) so the output is byte-stable and loses nothing.
+static void appendMicros(std::string &Json, int64_t Nanos) {
+  Json += std::to_string(Nanos / 1000);
+  Json += '.';
+  const int64_t Remainder = Nanos % 1000;
+  const std::string Digits =
+      std::to_string(Remainder < 0 ? -Remainder : Remainder);
+  if (Remainder < 0)
+    Json += '-';
+  const size_t Width = Remainder < 0 ? 2 : 3;
+  if (Digits.size() < Width)
+    Json.append(Width - Digits.size(), '0');
+  Json += Digits;
 }
 
 /// Escapes a span name for embedding in a JSON string literal.
@@ -76,10 +82,10 @@ static std::string jsonEscape(std::string_view Text) {
       break;
     default:
       if (static_cast<unsigned char>(Character) < 0x20) {
-        char Buffer[8];
-        std::snprintf(Buffer, sizeof(Buffer), "\\u%04x",
-                      unsigned(static_cast<unsigned char>(Character)));
-        Escaped += Buffer;
+        static const char Digits[] = "0123456789abcdef";
+        Escaped += "\\u00";
+        Escaped += Digits[(Character >> 4) & 0xF];
+        Escaped += Digits[Character & 0xF];
       } else {
         Escaped += Character;
       }
@@ -113,11 +119,14 @@ std::string TraceWriter::toJson() const {
     Json += "{\"name\":\"" + jsonEscape(Recorded.Name) +
             "\",\"cat\":\"parmonc\",\"ph\":\"";
     Json += Recorded.Phase;
-    Json += "\",\"ts\":" + formatMicros(Recorded.TsNanos);
-    if (Recorded.Phase == 'X')
-      Json += ",\"dur\":" + formatMicros(Recorded.DurNanos);
-    else
+    Json += "\",\"ts\":";
+    appendMicros(Json, Recorded.TsNanos);
+    if (Recorded.Phase == 'X') {
+      Json += ",\"dur\":";
+      appendMicros(Json, Recorded.DurNanos);
+    } else {
       Json += ",\"s\":\"t\"";
+    }
     Json += ",\"pid\":0,\"tid\":" + std::to_string(Recorded.Tid) + "}";
     if (Index + 1 < Sorted.size())
       Json += ",";

@@ -80,15 +80,19 @@ Status HistogramEstimator::merge(const HistogramEstimator &Other) {
 std::string HistogramEstimator::toFileContents() const {
   std::string Text;
   Text += "# PARMONC histogram\n";
-  Text += "range " + formatScientific(Low) + " " + formatScientific(High) +
-          "\n";
-  Text += "bins " + std::to_string(Counts.size()) + "\n";
+  Text += "range ";
+  appendScientific(Text, Low);
+  Text += ' ';
+  appendScientific(Text, High);
+  Text += "\nbins " + std::to_string(Counts.size()) + "\n";
   Text += "underflow " + std::to_string(Underflow) + "\n";
   Text += "overflow " + std::to_string(Overflow) + "\n";
   Text += "counts";
-  for (int64_t Count : Counts)
-    Text += " " + std::to_string(Count);
-  Text += "\n";
+  for (int64_t Count : Counts) {
+    Text += ' ';
+    Text += std::to_string(Count);
+  }
+  Text += '\n';
   return Text;
 }
 

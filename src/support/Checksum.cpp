@@ -9,7 +9,6 @@
 #include "parmonc/support/Text.h"
 
 #include <array>
-#include <cstdio>
 
 // The carry-less-multiply fold is x86-only and compiled out of
 // PARMONC_SIMD=SCALAR builds, leaving slicing-by-8 as the only path.
@@ -182,12 +181,24 @@ uint32_t crc32(std::string_view Bytes) {
   return crc32Portable(Bytes);
 }
 
+std::string formatCrc32Hex(uint32_t Crc) {
+  static const char Digits[] = "0123456789abcdef";
+  std::string Text(8, '0');
+  for (int Nibble = 0; Nibble < 8; ++Nibble)
+    Text[size_t(7 - Nibble)] = Digits[(Crc >> (4 * Nibble)) & 0xF];
+  return Text;
+}
+
 std::string sealFileContents(std::string_view Body) {
-  char Header[64];
-  std::snprintf(Header, sizeof(Header),
-                "#%%parmonc-seal v1 crc32 %08x bytes %zu\n", crc32(Body),
-                Body.size());
-  return std::string(Header) + std::string(Body);
+  std::string Sealed;
+  Sealed.reserve(Body.size() + 64);
+  Sealed += SealPrefix;
+  Sealed += formatCrc32Hex(crc32(Body));
+  Sealed += " bytes ";
+  Sealed += std::to_string(Body.size());
+  Sealed += '\n';
+  Sealed += Body;
+  return Sealed;
 }
 
 bool hasFileSeal(std::string_view Contents) {

@@ -6,10 +6,12 @@
 
 #include "parmonc/support/Text.h"
 
+#include "parmonc/support/Contract.h"
+
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fcntl.h>
@@ -21,18 +23,44 @@
 
 namespace parmonc {
 
+// The widest "%.17e" rendering: sign, digit, point, 17 digits, "e-308".
+static constexpr size_t MaxScientificChars = 1 + 1 + 1 + 17 + 5;
+// The widest "%.17f" rendering: sign, DBL_MAX's 309 integer digits, point,
+// 17 decimals.
+static constexpr size_t MaxFixedChars =
+    1 + (std::numeric_limits<double>::max_exponent10 + 1) + 1 + 17;
+
+template <size_t Width>
+static void appendChars(std::string &Out, double Value,
+                        std::chars_format Format, int Precision) {
+  char Buffer[Width];
+  const std::to_chars_result Rendered =
+      std::to_chars(Buffer, Buffer + Width, Value, Format, Precision);
+  // The buffer holds the widest rendering at every supported precision,
+  // so this fires only on a precision outside the contract; a truncated
+  // prefix would be a wrong number, never an acceptable result.
+  PARMONC_ASSERT(Rendered.ec == std::errc(),
+                 "number rendering does not fit its buffer");
+  Out.append(Buffer, Rendered.ptr);
+}
+
+void appendScientific(std::string &Out, double Value, int Precision) {
+  PARMONC_DCHECK(Precision >= 1 && Precision <= 17, "unsupported precision");
+  appendChars<MaxScientificChars>(Out, Value, std::chars_format::scientific,
+                                  Precision);
+}
+
 std::string formatScientific(double Value, int Precision) {
-  assert(Precision >= 1 && Precision <= 17 && "unsupported precision");
-  char Buffer[64];
-  std::snprintf(Buffer, sizeof(Buffer), "%.*e", Precision, Value);
-  return Buffer;
+  std::string Text;
+  appendScientific(Text, Value, Precision);
+  return Text;
 }
 
 std::string formatFixed(double Value, int Decimals) {
-  assert(Decimals >= 0 && Decimals <= 17 && "unsupported decimal count");
-  char Buffer[64];
-  std::snprintf(Buffer, sizeof(Buffer), "%.*f", Decimals, Value);
-  return Buffer;
+  PARMONC_DCHECK(Decimals >= 0 && Decimals <= 17, "unsupported decimal count");
+  std::string Text;
+  appendChars<MaxFixedChars>(Text, Value, std::chars_format::fixed, Decimals);
+  return Text;
 }
 
 Result<double> parseDouble(std::string_view Text) {
@@ -178,12 +206,12 @@ Status writeFileAtomic(const std::string &Path, std::string_view Contents) {
   if (Error)
     return ioError("cannot rename '" + TempPath + "' to '" + Path +
                    "': " + Error.message());
-  // Directory fsync: best effort (some filesystems reject O_RDONLY dirs);
-  // the rename above is already atomic with respect to readers.
+  // The rename is already atomic with respect to readers; a failed
+  // directory fsync means it may not survive power loss, which the
+  // caller must hear about.
   const std::string Parent =
       std::filesystem::path(Path).parent_path().string();
-  (void)fsyncDirectory(Parent.empty() ? "." : Parent);
-  return Status::ok();
+  return fsyncDirectory(Parent.empty() ? "." : Parent);
 }
 
 Status fsyncFile(const std::string &Path) {
@@ -216,12 +244,16 @@ Status fsyncDirectory(const std::string &Path) {
   if (DirDescriptor < 0)
     return ioError("cannot open directory '" + Path +
                    "' for fsync: " + std::strerror(errno));
-  // Some filesystems reject fsync on directory descriptors; the open
-  // succeeding is the signal the directory exists, so treat that fsync
-  // failure as best-effort rather than a caller-visible error.
-  (void)::fsync(DirDescriptor);
+  // EINVAL and EROFS mean this filesystem cannot fsync a directory
+  // descriptor at all, so there is nothing to wait for: best effort. Any
+  // other failure (EIO, ENOSPC, ...) means a completed rename or create
+  // may not be durable, and is returned.
+  Status Synced = Status::ok();
+  if (::fsync(DirDescriptor) != 0 && errno != EINVAL && errno != EROFS)
+    Synced = ioError("fsync failure on directory '" + Path +
+                     "': " + std::strerror(errno));
   (void)::close(DirDescriptor);
-  return Status::ok();
+  return Synced;
 #endif
 }
 
@@ -256,9 +288,11 @@ Status appendLineDurable(const std::string &Path, std::string_view Line) {
     return ioError("close failure on '" + Path +
                    "': " + std::strerror(errno));
   if (!Existed) {
+    // The file was just created: its directory entry is durable only once
+    // the directory is synced.
     const std::string Parent =
         std::filesystem::path(Path).parent_path().string();
-    (void)fsyncDirectory(Parent.empty() ? "." : Parent);
+    return fsyncDirectory(Parent.empty() ? "." : Parent);
   }
   return Status::ok();
 }

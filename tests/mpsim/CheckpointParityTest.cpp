@@ -22,6 +22,7 @@
 #include "parmonc/ckpt/CheckpointStore.h"
 #include "parmonc/core/Runner.h"
 #include "parmonc/fault/FaultPlan.h"
+#include "parmonc/support/Checksum.h"
 #include "parmonc/support/Text.h"
 
 #include <gtest/gtest.h>
@@ -265,6 +266,36 @@ TEST(CheckpointParity, KillAtSavePointThenRestoreMatrixIsByteIdentical) {
   expectIdenticalReports(Oracle, Wire);
   expectIdenticalTrees(snapshotTree(Threads.path()),
                        snapshotTree(Processes.path()));
+}
+
+TEST(CheckpointParity, FinalSubtotalFileAndReferencedShardShareOneBody) {
+  // A sharded rank renders its final subtotal once and writes that body
+  // twice: as its §3.4 subtotal file and as the checkpoint shard the final
+  // manifest references. Under each transport the two must agree.
+  for (TransportKind Kind :
+       {TransportKind::Threads, TransportKind::Processes}) {
+    SCOPED_TRACE(Kind == TransportKind::Threads ? "threads" : "processes");
+    ScratchDir Dir("render_once");
+    runSharded(Dir.path(), Kind, /*Async=*/false,
+               [](RunConfig &Config) { Config.ProcessorCount = 2; });
+    ckpt::CheckpointStore Ckpt(Dir.path() + "/parmonc_data/ckpt");
+    Result<ckpt::CheckpointStore::RestoredGeneration> Generation =
+        Ckpt.restoreWithFallback();
+    ASSERT_TRUE(Generation.isOk()) << Generation.status().toString();
+    EXPECT_FALSE(Generation.value().FromBackup);
+    ASSERT_EQ(Generation.value().Shards.size(), 2u);
+    for (const auto &Shard : Generation.value().Shards) {
+      const std::string Path = Dir.path() + "/parmonc_data/subtotals/rank_" +
+                               std::to_string(Shard.Rank) + ".dat";
+      Result<std::string> Contents = readFileToString(Path);
+      ASSERT_TRUE(Contents.isOk()) << Contents.status().toString();
+      Result<std::string> Body = unsealFileContents(Path, Contents.value());
+      ASSERT_TRUE(Body.isOk()) << Body.status().toString();
+      EXPECT_EQ(Body.value(), Shard.Body) << "rank " << Shard.Rank;
+      // The final quota of each rank, so this is the final subtotal.
+      EXPECT_NE(Body.value().find("\nvolume 60\n"), std::string::npos);
+    }
+  }
 }
 
 } // namespace

@@ -11,7 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cfloat>
+#include <cstdio>
+#include <fcntl.h>
 #include <filesystem>
+#include <unistd.h>
 
 namespace parmonc {
 namespace {
@@ -69,6 +74,20 @@ TEST(FormatScientific, HonorsPrecision) {
 TEST(FormatFixed, Basic) {
   EXPECT_EQ(formatFixed(3.14159, 2), "3.14");
   EXPECT_EQ(formatFixed(-1.005, 0), "-1");
+}
+
+TEST(Text, FormatFixedKeepsEveryDigitOfHugeValues) {
+  // A fixed-size rendering buffer used to cut these to their first 63
+  // characters: a wrong number with no error.
+  auto printfFixed = [](double Value, int Decimals) {
+    char Buffer[512];
+    std::snprintf(Buffer, sizeof(Buffer), "%.*f", Decimals, Value);
+    return std::string(Buffer);
+  };
+  EXPECT_EQ(formatFixed(1e300, 2), printfFixed(1e300, 2));
+  EXPECT_EQ(formatFixed(1e300, 2).size(), 304u);
+  EXPECT_EQ(formatFixed(-DBL_MAX, 17), printfFixed(-DBL_MAX, 17));
+  EXPECT_EQ(formatFixed(-DBL_MAX, 17).size(), 328u);
 }
 
 TEST(ParseDouble, AcceptsUsualForms) {
@@ -185,6 +204,25 @@ TEST(FileHelpers, CreateDirectoriesIsIdempotent) {
   EXPECT_TRUE(createDirectories(Path).isOk());
   std::filesystem::remove_all(std::filesystem::temp_directory_path() /
                               "parmonc_dirs_test");
+}
+
+TEST(Text, DirectoryFsyncUnsupportedByTheFilesystemIsOk) {
+  // procfs has no fsync for its directories: the call fails with EINVAL,
+  // which means "nothing to make durable", not an IO error.
+  const int Descriptor = ::open("/proc/self", O_RDONLY);
+  ASSERT_GE(Descriptor, 0);
+  errno = 0;
+  EXPECT_NE(::fsync(Descriptor), 0);
+  EXPECT_EQ(errno, EINVAL);
+  ::close(Descriptor);
+  EXPECT_TRUE(fsyncDirectory("/proc/self").isOk());
+}
+
+TEST(Text, DirectoryFsyncOfAMissingDirectoryFails) {
+  Status Synced = fsyncDirectory(
+      (std::filesystem::temp_directory_path() / "parmonc_no_such_dir_x")
+          .string());
+  EXPECT_EQ(Synced.code(), StatusCode::IoError);
 }
 
 TEST(ManualClock, AdvancesExplicitly) {
